@@ -314,6 +314,7 @@ def cmd_sweep_k(opts):
         params, _, _, _ = load_checkpoint(opts["checkpoint"])
     test = dataset.test
     fr = compute_ecmp_fractions(topo)
+    u_opts = [evaluation.solve_optimal_all_flows(topo, tm)[0] for tm in test]
     rows = []
     for f in sorted(set(fractions)):
         k = 0 if f == 0 else max(1, int(floor(f * n_flows + 0.5)))
@@ -328,8 +329,7 @@ def cmd_sweep_k(opts):
             else:
                 sel_name = "top_k_critical"
         prs = []
-        for tm in test:
-            u_opt, _ = evaluation.solve_optimal_all_flows(topo, tm)
+        for tm, u_opt in zip(test, u_opts):
             if k == 0:
                 selection = selectors.SelectionResult(flows=(), method="ecmp")
             elif sel_name == "brute_force":

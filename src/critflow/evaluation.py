@@ -68,14 +68,16 @@ def eval_one(topo, tm, selection, fractions=None, include_delay=True,
 
     The rerouting solution still minimizes max utilization; the delay
     proxy is evaluated on the loads that solution produces. Precomputed
-    oracle values can be passed to avoid re-solving across methods.
+    oracle values can be passed to avoid re-solving across methods; the
+    all-flows optimum is solved at most once either way.
     """
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
     background = ecmp_link_loads(topo, tm, fractions, exclude=selection.flows)
     sol = solve_rerouting(topo, tm, selection.flows, background)
+    start = None
     if u_optimal is None:
-        u_optimal, _ = solve_optimal_all_flows(topo, tm)
+        u_optimal, start = solve_optimal_all_flows(topo, tm)
     total = tm.total_demand()
     rerouted = sum(tm.demand[s, d] for s, d in selection.flows)
     record = EvalRecord(
@@ -85,7 +87,7 @@ def eval_one(topo, tm, selection, fractions=None, include_delay=True,
         rd=(rerouted / total) if total > 0 else 0.0)
     if include_delay:
         if delay_optimal is None:
-            delay_optimal, _ = solve_delay_optimal(topo, tm)
+            delay_optimal, _ = solve_delay_optimal(topo, tm, start=start)
         record.omega_method = evaluate_delay(topo, sol.link_loads)
         record.omega_optimal = delay_optimal
         record.pr_omega = _ratio(delay_optimal, record.omega_method)
@@ -121,8 +123,9 @@ def eval_suite(topo, matrices, methods, k, params=None, include_delay=True,
     fractions = compute_ecmp_fractions(topo)
     records = []
     for tm in matrices:
-        u_opt, _ = solve_optimal_all_flows(topo, tm)
-        d_opt = solve_delay_optimal(topo, tm)[0] if include_delay else None
+        u_opt, opt_loads = solve_optimal_all_flows(topo, tm)
+        d_opt = (solve_delay_optimal(topo, tm, start=opt_loads)[0]
+                 if include_delay else None)
         for method in methods:
             selection = select(method, topo, tm, k, params=params,
                                fractions=fractions, seed=seed)

@@ -307,7 +307,9 @@ class ParallelTrainer:
             warnings.warn(f"actor {actor_id} crashed: {exc!r}", stacklevel=1)
             self._dead[actor_id] = True
 
-    def _apply(self, iteration, batch):
+    def _apply(self, iteration, batch, t0):
+        """Apply one batch; `t0` is when the iteration began to wait for or
+        sample it, so wall_ms covers what an iteration of `train` covers."""
         alpha = learning_rate(self.config, iteration)
         delta = _accumulate_update(self.params, self.matrices, batch, alpha,
                                    self.config.beta)
@@ -325,13 +327,14 @@ class ParallelTrainer:
             iteration=iteration,
             mean_reward=float(np.mean([e.reward for e in batch])),
             mean_entropy=float(np.mean(ent)),
-            alpha=alpha, wall_ms=0.0, batch=batch))
+            alpha=alpha, wall_ms=(time.perf_counter() - t0) * 1e3, batch=batch))
 
     def run(self):
         if self.config.sync:
             for it in range(self.config.total_iterations):
+                t0 = time.perf_counter()
                 actor_id = it % self.config.actor_count
-                self._apply(it, self._actor_batch(actor_id, self.actor_rngs[actor_id]))
+                self._apply(it, self._actor_batch(actor_id, self.actor_rngs[actor_id]), t0)
             return self.params, self.log
         threads = [threading.Thread(target=self._actor_loop, args=(a,), daemon=True)
                    for a in range(self.config.actor_count)]
@@ -339,6 +342,7 @@ class ParallelTrainer:
             t.start()
         try:
             for it in range(self.config.total_iterations):
+                t0 = time.perf_counter()
                 while True:
                     try:
                         batch = self._queue.get(timeout=0.5)
@@ -346,7 +350,7 @@ class ParallelTrainer:
                     except queue.Empty:
                         if all(self._dead):
                             raise TrainingError("all actors crashed")
-                self._apply(it, batch)
+                self._apply(it, batch, t0)
         finally:
             self._stop.set()
             for t in threads:

@@ -122,6 +122,31 @@ def test_sweep_k_zero_row_equals_ecmp(tmp_path):
     assert all(means[i + 1] >= means[i] - 1e-9 for i in range(len(means) - 1))
 
 
+def test_sweep_k_solves_optimum_once_per_matrix(tmp_path, ring5_file, monkeypatch):
+    from critflow import evaluation, rerouting
+    optimum_ids, evaluated_ids = [], []
+    solve_optimum, eval_one = evaluation.solve_optimal_all_flows, evaluation.eval_one
+
+    def counted_optimum(topo, tm):
+        optimum_ids.append(tm.id)
+        return solve_optimum(topo, tm)
+
+    def counted_eval_one(topo, tm, *args, **kwargs):
+        evaluated_ids.append(tm.id)
+        return eval_one(topo, tm, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "solve_optimal_all_flows", counted_optimum)
+    monkeypatch.setattr(rerouting, "solve_optimal_all_flows", counted_optimum)
+    monkeypatch.setattr(evaluation, "eval_one", counted_eval_one)
+    rc = run(["sweep-k", "--topology", ring5_file, "--tm-model", "uniform",
+              "--tm-count", "7", "--fractions", "0,0.1,0.2",
+              "--selector", "top_k", "--out", str(tmp_path / "sw")])
+    assert rc == 0
+    test_ids = list(dict.fromkeys(evaluated_ids))
+    assert len(evaluated_ids) == 3 * len(test_ids) > 0
+    assert optimum_ids == test_ids
+
+
 def test_sweep_k_rejects_bad_fraction(tmp_path, ring5_file):
     rc = run(["sweep-k", "--topology", ring5_file, "--tm-model", "uniform",
               "--tm-count", "3", "--fractions", "0,1.5",

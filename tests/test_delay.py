@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
+import critflow.rerouting
 from conftest import tm_with
 
 
@@ -56,3 +57,25 @@ def test_delay_loads_stay_strictly_interior(ring5):
     omega, loads = cf.solve_delay_optimal(ring5, tm)
     assert np.all(loads.load < ring5.capacity)
     assert omega == pytest.approx(cf.evaluate_delay(ring5, loads), rel=1e-12)
+
+
+def test_given_start_skips_the_optimum(ring5, monkeypatch):
+    tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=7)[0]
+    _, start = cf.solve_optimal_all_flows(ring5, tm)
+    own = cf.solve_delay_optimal(ring5, tm)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("optimum solved again")
+
+    monkeypatch.setattr(critflow.rerouting, "solve_optimal_all_flows", unexpected)
+    given = cf.solve_delay_optimal(ring5, tm, start=start)
+    assert given[0] == own[0]
+    assert np.array_equal(given[1].load, own[1].load)
+
+
+def test_overloaded_start_rejected(triangle):
+    tm = tm_with(3, {(0, 2): 3.0})
+    _, start = cf.solve_optimal_all_flows(triangle, tm)
+    assert start.max_utilization == pytest.approx(1.5)
+    with pytest.raises(cf.OverloadedInstanceError, match="overloaded"):
+        cf.solve_delay_optimal(triangle, tm, start=start)

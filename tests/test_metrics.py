@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import critflow as cf
+import critflow.evaluation
+import critflow.rerouting
 from conftest import tm_with
 
 
@@ -136,3 +138,36 @@ def test_rd_direction_matches_reported_ordering():
                            for s, d in cf.top_k_critical(topo, tm, k,
                                                          fractions=fr).flows) / total)
     assert np.mean(rd_top) > np.mean(rd_crit)
+
+
+def count_optimum_calls(monkeypatch):
+    """Count every all-flows optimum solved, from evaluation or the delay
+    oracle; the list gets one matrix id per call."""
+    calls = []
+    original = critflow.rerouting.solve_optimal_all_flows
+
+    def counted(topo, tm):
+        calls.append(tm.id)
+        return original(topo, tm)
+
+    monkeypatch.setattr(critflow.rerouting, "solve_optimal_all_flows", counted)
+    monkeypatch.setattr(critflow.evaluation, "solve_optimal_all_flows", counted)
+    return calls
+
+
+def test_eval_one_solves_optimum_once(ring5, ring5_tms, monkeypatch):
+    tm = ring5_tms[2]
+    u_opt, loads = cf.solve_optimal_all_flows(ring5, tm)
+    omega_opt, _ = cf.solve_delay_optimal(ring5, tm, start=loads)
+    calls = count_optimum_calls(monkeypatch)
+    rec = cf.eval_one(ring5, tm, cf.top_k(tm, 3), include_delay=True)
+    assert calls == [tm.id]
+    assert rec.u_optimal == u_opt
+    assert rec.omega_optimal == omega_opt
+
+
+def test_eval_suite_solves_optimum_once_per_matrix(ring5, ring5_tms, monkeypatch):
+    calls = count_optimum_calls(monkeypatch)
+    cf.eval_suite(ring5, ring5_tms[:3], ["ecmp", "top_k", "random"], 2,
+                  include_delay=True)
+    assert calls == [tm.id for tm in ring5_tms[:3]]

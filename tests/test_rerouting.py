@@ -53,8 +53,53 @@ def test_optimal_bounded_by_ecmp(ring5):
 
 def test_zero_tm_optimal_zero(ring5):
     tm = cf.TrafficMatrix(5, np.zeros((5, 5)))
-    u_opt, sol = cf.solve_optimal_all_flows(ring5, tm)
+    u_opt, loads = cf.solve_optimal_all_flows(ring5, tm)
     assert u_opt == 0.0
+    assert loads.max_utilization == 0.0
+    assert np.all(loads.load == 0)
+
+
+def assert_optimum_matches_per_flow_lp(topo, tm):
+    """The per-destination optimum against the per-flow LP it replaced
+    (every flow rerouted over zero background), and its loads against U."""
+    u, loads = cf.solve_optimal_all_flows(topo, tm)
+    per_flow = cf.solve_rerouting(topo, tm, topo.flows(), np.zeros(topo.link_count))
+    assert u == pytest.approx(per_flow.u, rel=1e-9, abs=0.0)
+    assert loads.max_utilization == u
+    assert np.all(loads.load >= -1e-9)
+    assert np.all(loads.load <= topo.capacity * u + 1e-9)
+
+
+@pytest.mark.parametrize("model", ["uniform", "exponential"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_destination_form_matches_per_flow_lp(n, model):
+    for seed in range(3):
+        topo = cf.random_topology(n, 2, seed=seed)
+        tm = cf.generate_tms(topo, model, 1, 0.9, seed=seed)[0]
+        assert_optimum_matches_per_flow_lp(topo, tm)
+
+
+def test_destination_form_with_zero_demand_destination():
+    topo = cf.random_topology(5, 2, seed=4)
+    demand = cf.generate_tms(topo, "exponential", 1, 0.9, seed=4)[0].demand.copy()
+    demand[:, 2] = 0.0
+    demand[3, 1] = 0.0  # a zero entry in a destination that keeps demand
+    assert_optimum_matches_per_flow_lp(topo, cf.TrafficMatrix(5, demand))
+
+
+def test_optimum_lp_shapes():
+    from critflow.rerouting import build_optimum_lp
+    topo = cf.random_topology(8, 6, seed=3)  # 8 nodes, 28 links
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=0)[0]
+    problem = build_optimum_lp(topo, tm)
+    # 1 U + 8 destinations x 28 links; 28 capacity rows + 8 x 7 conservation
+    assert (problem.n_rows, problem.n_vars) == (84, 225)
+    demand = tm.demand.copy()
+    demand[:, 5] = 0.0
+    problem = build_optimum_lp(topo, cf.TrafficMatrix(8, demand))
+    assert (problem.n_rows, problem.n_vars) == (84 - 7, 225 - 28)
+    zero = build_optimum_lp(topo, cf.TrafficMatrix(8, np.zeros((8, 8))))
+    assert (zero.n_rows, zero.n_vars) == (28, 1)
 
 
 def test_selection_monotonicity(ring5):

@@ -216,6 +216,15 @@ def test_sync_mode_deterministic(tiny_instance):
         assert np.array_equal(a, b)
 
 
+def test_sync_mode_logs_wall_time(tiny_instance):
+    topo, dataset = tiny_instance
+    config = tiny_config(total_iterations=4, batch_size=3, actor_count=2,
+                         sync=True)
+    _, log = cf.train_parallel(topo, dataset, config)
+    assert len(log.records) == 4
+    assert all(rec.wall_ms > 0 for rec in log.records)
+
+
 def test_actor_crash_tolerated(tiny_instance, monkeypatch):
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=12, batch_size=3, actor_count=2)
