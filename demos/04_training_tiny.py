@@ -15,8 +15,7 @@ dataset = cf.Dataset(matrices=matrices, train_indices=[0, 1, 2],
                      test_indices=[], seed=0)
 
 config = cf.TrainerConfig(batch_size=20, k=2, total_iterations=600, width=16,
-                          alpha0=0.01, alpha_min=0.001, beta=0.1, seed=5,
-                          actor_count=1)
+                          alpha0=0.01, alpha_min=0.001, beta=0.1, seed=5)
 print(f"training {config.total_iterations} iterations "
       f"(B={config.batch_size}, K={config.k}, alpha0={config.alpha0}) ...")
 params, log = cf.train(topo, dataset, config)

@@ -30,7 +30,7 @@ from .policy import (PolicyParams, ActionDistribution, Solution, init_params,
 from .selectors import (SelectionResult, top_k, top_k_critical, random_k,
                         brute_force_best, SelectionError)
 from .training import (TrainerConfig, Experience, TrainingLog, learning_rate,
-                       compute_reward, train, train_parallel, replay_update,
+                       compute_reward, train, replay_update,
                        TrainingError, DegenerateStateError)
 from .evaluation import (EvalRecord, eval_one, eval_suite, aggregate,
                          empirical_cdf, policy_selection, select,

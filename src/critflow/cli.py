@@ -19,7 +19,7 @@ from math import comb, floor
 import numpy as np
 
 from . import evaluation, selectors, topology, traffic, training
-from .policy import load_checkpoint, save_checkpoint
+from .policy import load_checkpoint
 from .rerouting import build_rerouting_lp, default_epsilon
 from .simplex import dump_lp
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
@@ -44,8 +44,6 @@ def _global_flags(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--actors", type=int, default=None)
-    p.add_argument("--sync", action="store_const", const=True, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.add_argument("--dump-lp", default=None)
 
@@ -105,12 +103,15 @@ def build_parser():
     p.add_argument("--alphas", default=None)
     p.add_argument("--widths", default=None)
     p.add_argument("--betas", default=None)
+    # a config file may set any option of any subcommand, and nothing else
+    parser.config_keys = frozenset(
+        a.dest for sp in sub.choices.values() for a in sp._actions) - {"help", "config"}
     return parser
 
 
 DEFAULTS = {
-    "seed": 0, "out": "critflow-out", "actors": 1, "sync": False,
-    "checkpoint_every": 500, "k_fraction": 0.1, "train_fraction": 0.7,
+    "seed": 0, "out": "critflow-out", "checkpoint_every": 500,
+    "k_fraction": 0.1, "train_fraction": 0.7,
     "tm_model": "uniform", "tm_count": 20, "tm_target_util": 0.9,
     "iterations": 1000, "batch_size": 20, "alpha0": 0.001,
     "alpha_min": 0.0001, "decay_every": 500, "decay_base": 0.96,
@@ -120,16 +121,15 @@ DEFAULTS = {
     "out_file": None, "skip_delay": False,
 }
 
-_TYPED = {"seed": int, "actors": int, "checkpoint_every": int, "tm_count": int,
+_TYPED = {"seed": int, "checkpoint_every": int, "tm_count": int,
           "iterations": int, "batch_size": int, "decay_every": int, "width": int,
           "k": int, "k_fraction": float, "train_fraction": float,
           "tm_target_util": float, "alpha0": float, "alpha_min": float,
           "decay_base": float, "beta": float,
-          "sync": lambda s: s.lower() in ("1", "true", "yes"),
           "skip_delay": lambda s: s.lower() in ("1", "true", "yes")}
 
 
-def _read_config(path):
+def _read_config(path, known_keys):
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -140,15 +140,21 @@ def _read_config(path):
                 raise UsageError(f"{path} line {line_no}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            out[key] = _TYPED.get(key, str)(val) if val != "" else None
+            if key not in known_keys:
+                raise UsageError(f"{path} line {line_no}: unknown key {key!r}")
+            try:
+                out[key] = _TYPED.get(key, str)(val) if val != "" else None
+            except ValueError:
+                raise UsageError(f"{path} line {line_no}: bad value {val!r} "
+                                 f"for {key!r}") from None
     return out
 
 
-def resolve_options(args):
+def resolve_options(args, known_keys):
     """Merge CLI > config file > defaults into one flat namespace."""
     opts = dict(DEFAULTS)
     if args.config:
-        opts.update(_read_config(args.config))
+        opts.update(_read_config(args.config, known_keys))
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -207,8 +213,7 @@ def _trainer_config(opts, k, iterations=None):
         total_iterations=iterations or opts["iterations"],
         alpha0=opts["alpha0"], decay_every=opts["decay_every"],
         decay_base=opts["decay_base"], alpha_min=opts["alpha_min"],
-        beta=opts["beta"], actor_count=opts["actors"], width=opts["width"],
-        seed=opts["seed"], sync=opts["sync"])
+        beta=opts["beta"], width=opts["width"], seed=opts["seed"])
 
 
 def _maybe_dump_first_lp(opts, topo, tm, flows):
@@ -259,13 +264,8 @@ def cmd_train(opts):
     _maybe_dump_first_lp(opts, topo, first_train,
                          [topology.flow_of_index(a, topo.node_count)
                           for a in range(k)])
-    if config.actor_count <= 1:
-        params, log = training.train(topo, dataset, config,
-                                     checkpoint_path=ckpt,
-                                     checkpoint_every=opts["checkpoint_every"])
-    else:
-        params, log = training.train_parallel(topo, dataset, config)
-        save_checkpoint(ckpt, params, iteration=config.total_iterations)
+    _, log = training.train(topo, dataset, config, checkpoint_path=ckpt,
+                            checkpoint_every=opts["checkpoint_every"])
     log.write_csv(os.path.join(out_dir, "training_log.csv"))
     last = log.records[-1]
     print(f"trained {config.total_iterations} iterations "
@@ -368,10 +368,7 @@ def cmd_sweep_hyper(opts):
                 cell = dict(opts, alpha0=alpha, width=width, beta=beta,
                             alpha_min=min(opts["alpha_min"], alpha))
                 config = _trainer_config(cell, k)
-                if config.actor_count <= 1:
-                    params, _ = training.train(topo, dataset, config)
-                else:
-                    params, _ = training.train_parallel(topo, dataset, config)
+                params, _ = training.train(topo, dataset, config)
                 records, agg = evaluation.eval_suite(
                     topo, dataset.test, ["policy"], k, params=params,
                     include_delay=False, seed=opts["seed"])
@@ -401,7 +398,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        opts = resolve_options(args)
+        opts = resolve_options(args, parser.config_keys)
         opts["command"] = args.command
         return COMMANDS[args.command](opts)
     except UsageError as exc:

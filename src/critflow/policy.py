@@ -55,6 +55,14 @@ class PolicyParams:
                             *(t + scale * g[k] for k, t in self.tensors().items()))
 
 
+def _param_shapes(n, width):
+    """Tensor shapes of a PolicyParams, in declared order."""
+    n_act = n * (n - 1)
+    return {"conv_w": (KERNEL, KERNEL, width), "conv_b": (width,),
+            "fc1_w": (n * n * width, width), "fc1_b": (width,),
+            "fc2_w": (width, n_act), "fc2_b": (n_act,)}
+
+
 def _glorot(rng, shape, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
@@ -78,12 +86,8 @@ def init_params(n, width=128, seed=0):
 
 def zero_params(n, width=128):
     """All-zero parameters; the forward pass gives the uniform distribution."""
-    n_act = n * (n - 1)
-    flat = n * n * width
     return PolicyParams(n, width,
-                        np.zeros((KERNEL, KERNEL, width)), np.zeros(width),
-                        np.zeros((flat, width)), np.zeros(width),
-                        np.zeros((width, n_act)), np.zeros(n_act))
+                        *(np.zeros(s) for s in _param_shapes(n, width).values()))
 
 
 def zeros_like_params(params):
@@ -271,10 +275,14 @@ def load_checkpoint(path):
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise PolicyError(f"unsupported checkpoint version {version}")
-        params = PolicyParams(int(z["n"]), int(z["width"]),
-                              z["conv_w"], z["conv_b"],
-                              z["fc1_w"], z["fc1_b"],
-                              z["fc2_w"], z["fc2_b"])
+        n, width = int(z["n"]), int(z["width"])
+        shapes = _param_shapes(n, width)
+        tensors = [z[name] for name in shapes]
+        for (name, shape), t in zip(shapes.items(), tensors):
+            if t.shape != shape:
+                raise PolicyError(f"checkpoint tensor {name} has shape {t.shape}, "
+                                  f"expected {shape} for n={n}, width={width}")
+        params = PolicyParams(n, width, *tensors)
         keys = z["baseline_keys"]
         v = {int(k): float(x) for k, x in zip(keys, z["baseline_v"])}
         n = {int(k): int(x) for k, x in zip(keys, z["baseline_n"])}

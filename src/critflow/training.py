@@ -3,16 +3,13 @@
 One iteration samples a batch of traffic-matrix states, draws one
 selection per state, scores each by 1/U from the rerouting LP, subtracts
 the per-state average-reward baseline, and applies the entropy-regularized
-log-probability gradient. Serial mode is bit-deterministic given the seed;
-parallel mode runs actor threads that feed (state, solution, advantage)
-batches to a central learner which applies updates in arrival order.
+log-probability gradient. One serial learner does all of this, and is
+bit-deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import csv
-import queue
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -44,17 +41,18 @@ class TrainerConfig:
     decay_base: float = 0.96
     alpha_min: float = 0.0001
     beta: float = 0.1
-    actor_count: int = 20
+    actor_count: int = 1  # only 1 is accepted; kept for existing callers
     width: int = 128
     seed: int = 0
-    sync: bool = False  # parallel mode only: deterministic round-robin actors
 
     def __post_init__(self):
         for name in ("batch_size", "k", "total_iterations", "alpha0",
                      "decay_every", "decay_base", "alpha_min", "beta",
-                     "actor_count", "width"):
+                     "width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.actor_count != 1:
+            raise ValueError("actor_count must be 1: training is serial")
         if self.alpha_min > self.alpha0:
             raise ValueError("alpha_min must not exceed alpha0")
 
@@ -119,19 +117,13 @@ class _RewardCache:
         self.matrices = matrices
         self.fractions = fractions
         self._cache = {}
-        self._lock = threading.Lock()
 
     def reward(self, state_id, solution):
         key = (state_id, frozenset(solution.actions))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        r = compute_reward(self.topo, self.matrices[state_id], solution,
-                           fractions=self.fractions)
-        with self._lock:
-            self._cache[key] = r
-        return r
+        if key not in self._cache:
+            self._cache[key] = compute_reward(self.topo, self.matrices[state_id],
+                                              solution, fractions=self.fractions)
+        return self._cache[key]
 
 
 def _usable_train_ids(dataset):
@@ -235,129 +227,3 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         save_checkpoint(checkpoint_path, params, iteration=config.total_iterations,
                         baseline_v=v, baseline_n=visits)
     return params, log
-
-
-class ParallelTrainer:
-    """Actor threads sample and score; the learner applies updates serially.
-
-    Each actor works a disjoint slice of the training set, reads the
-    latest published parameter snapshot (possibly stale), and ships
-    Experience batches through a bounded queue. Baseline lookups are
-    served by the learner's table. In sync mode no threads run: actors
-    are polled round-robin inline, which is deterministic.
-    """
-
-    def __init__(self, topo, dataset, config, init=None):
-        if config.actor_count < 2 and not config.sync:
-            raise ValueError("parallel training needs actor_count >= 2")
-        self.topo = topo
-        self.dataset = dataset
-        self.config = config
-        self.matrices = dataset.matrices
-        self.train_ids = _usable_train_ids(dataset)
-        self.fractions = compute_ecmp_fractions(topo)
-        self.cache = _RewardCache(topo, self.matrices, self.fractions)
-        ss = np.random.SeedSequence(config.seed)
-        seeds = ss.spawn(1 + config.actor_count)
-        self.params = init if init is not None else init_params(
-            topo.node_count, width=config.width, seed=seeds[0])
-        self.actor_rngs = [np.random.default_rng(s) for s in seeds[1:]]
-        self.slices = [list(self.train_ids[a::config.actor_count])
-                       for a in range(config.actor_count)]
-        for a, sl in enumerate(self.slices):
-            if not sl:  # more actors than states: reuse the full set
-                self.slices[a] = list(self.train_ids)
-        self._v = {}
-        self._visits = {}
-        self._table_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._queue = queue.Queue(maxsize=4 * config.actor_count)
-        self._dead = [False] * config.actor_count
-        self.log = TrainingLog()
-
-    def baseline(self, state_id):
-        with self._table_lock:
-            n = self._visits.get(state_id, 0)
-            return self._v[state_id] / n if n else 0.0
-
-    def _actor_sample(self, actor_id, rng, snapshot):
-        sid = int(rng.choice(self.slices[actor_id]))
-        dist = forward(snapshot, self.matrices[sid])
-        sol = sample_solution(dist, self.config.k, rng)
-        r = self.cache.reward(sid, sol)
-        return Experience(sid, sol, r - self.baseline(sid), r)
-
-    def _actor_batch(self, actor_id, rng):
-        snapshot = self.params  # immutable; re-read once per batch
-        return [self._actor_sample(actor_id, rng, snapshot)
-                for _ in range(self.config.batch_size)]
-
-    def _actor_loop(self, actor_id):
-        rng = self.actor_rngs[actor_id]
-        try:
-            while not self._stop.is_set():
-                batch = self._actor_batch(actor_id, rng)
-                while not self._stop.is_set():
-                    try:
-                        self._queue.put(batch, timeout=0.2)
-                        break
-                    except queue.Full:
-                        continue
-        except Exception as exc:  # crash tolerance: learner keeps going
-            warnings.warn(f"actor {actor_id} crashed: {exc!r}", stacklevel=1)
-            self._dead[actor_id] = True
-
-    def _apply(self, iteration, batch, t0):
-        """Apply one batch; `t0` is when the iteration began to wait for or
-        sample it, so wall_ms covers what an iteration of `train` covers."""
-        alpha = learning_rate(self.config, iteration)
-        delta = _accumulate_update(self.params, self.matrices, batch, alpha,
-                                   self.config.beta)
-        new_params = self.params.add_scaled(delta, 1.0)
-        if not _params_finite(new_params):
-            raise TrainingError(f"non-finite parameters at update {iteration}")
-        self.params = new_params  # publish the new snapshot
-        with self._table_lock:
-            for exp in batch:
-                self._v[exp.state_id] = self._v.get(exp.state_id, 0.0) + exp.reward
-                self._visits[exp.state_id] = self._visits.get(exp.state_id, 0) + 1
-        ent = [entropy(forward(self.params, self.matrices[e.state_id]))
-               for e in batch]
-        self.log.records.append(IterationRecord(
-            iteration=iteration,
-            mean_reward=float(np.mean([e.reward for e in batch])),
-            mean_entropy=float(np.mean(ent)),
-            alpha=alpha, wall_ms=(time.perf_counter() - t0) * 1e3, batch=batch))
-
-    def run(self):
-        if self.config.sync:
-            for it in range(self.config.total_iterations):
-                t0 = time.perf_counter()
-                actor_id = it % self.config.actor_count
-                self._apply(it, self._actor_batch(actor_id, self.actor_rngs[actor_id]), t0)
-            return self.params, self.log
-        threads = [threading.Thread(target=self._actor_loop, args=(a,), daemon=True)
-                   for a in range(self.config.actor_count)]
-        for t in threads:
-            t.start()
-        try:
-            for it in range(self.config.total_iterations):
-                t0 = time.perf_counter()
-                while True:
-                    try:
-                        batch = self._queue.get(timeout=0.5)
-                        break
-                    except queue.Empty:
-                        if all(self._dead):
-                            raise TrainingError("all actors crashed")
-                self._apply(it, batch, t0)
-        finally:
-            self._stop.set()
-            for t in threads:
-                t.join(timeout=5.0)
-        return self.params, self.log
-
-
-def train_parallel(topo, dataset, config, init=None):
-    """Asynchronous actor/learner training. Returns (params, TrainingLog)."""
-    return ParallelTrainer(topo, dataset, config, init=init).run()

@@ -46,6 +46,6 @@ def tiny_instance():
 def tiny_config(**overrides):
     """Trainer settings that converge on the tiny instance within 2000 its."""
     base = dict(batch_size=20, k=2, total_iterations=2000, width=16,
-                alpha0=0.01, alpha_min=0.001, beta=0.1, seed=5, actor_count=1)
+                alpha0=0.01, alpha_min=0.001, beta=0.1, seed=5)
     base.update(overrides)
     return cf.TrainerConfig(**base)

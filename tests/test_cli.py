@@ -68,9 +68,10 @@ def test_train_writes_artifacts_and_is_reproducible(tmp_path, ring5_file):
         return [",".join(line.split(",")[:4]) for line in lines]
 
     assert stable_log(out1 / "training_log.csv") == stable_log(out2 / "training_log.csv")
-    p1, it1, _, _ = cf.load_checkpoint(out1 / "checkpoint.npz")
+    p1, it1, _, visits = cf.load_checkpoint(out1 / "checkpoint.npz")
     p2, _, _, _ = cf.load_checkpoint(out2 / "checkpoint.npz")
     assert it1 == 4
+    assert sum(visits.values()) == 4 * 3  # baseline table saved with the params
     for a, b in zip(p1.tensors().values(), p2.tensors().values()):
         assert np.array_equal(a, b)
 
@@ -178,6 +179,31 @@ def test_config_file_twin_and_cli_override(tmp_path, ring5_file, capsys):
     assert len(cf.load_tms(tm_file, 5)) == 5  # CLI --tm-count overrode config
     echoed = (out / "config.txt").read_text()
     assert "seed=4" in echoed
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus_key=7", "unknown key 'bogus_key'"),
+    ("sync=yes", "unknown key 'sync'"),
+    ("actors=2", "unknown key 'actors'"),
+    ("tm_count=many", "bad value 'many' for 'tm_count'"),
+])
+def test_config_file_bad_line_is_usage_error(tmp_path, ring5_file, capsys,
+                                             line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"topology={ring5_file}\ntm_model=uniform\n{line}\n")
+    out = tmp_path / "cfgout"
+    rc = run(["generate-tm", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"line 3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--actors", "2"], ["--sync"]])
+def test_removed_parallel_flags_are_usage_errors(tmp_path, ring5_file, flags):
+    rc = run(["train", "--topology", ring5_file, "--tm-count", "4", "--k", "2",
+              "--iterations", "1", "--out", str(tmp_path / "t")] + flags)
+    assert rc == 1
+    assert not (tmp_path / "t").exists()
 
 
 def test_dump_lp_flag(tmp_path, ring5_file):

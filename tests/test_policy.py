@@ -210,6 +210,22 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("cuts, named", [
+    pytest.param({"fc2_w": np.s_[:, :10], "fc2_b": np.s_[:10]}, "fc2_w",
+                 id="fc2-covers-10-of-20-actions"),
+    *(pytest.param({name: np.s_[..., :-1]}, name, id=name)
+      for name in ("conv_w", "conv_b", "fc1_w", "fc1_b", "fc2_w", "fc2_b")),
+])
+def test_checkpoint_tensor_shapes_checked(tmp_path, cuts, named):
+    params = cf.init_params(5, width=8, seed=4)
+    for name, cut in cuts.items():
+        setattr(params, name, getattr(params, name)[cut])
+    path = tmp_path / "bad.npz"
+    cf.save_checkpoint(path, params)
+    with pytest.raises(cf.PolicyError, match=named):
+        cf.load_checkpoint(path)
+
+
 def test_duplicate_actions_rejected():
     with pytest.raises(cf.PolicyError):
         cf.Solution(actions=(1, 1))

@@ -1,10 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 import critflow as cf
-from critflow.training import ParallelTrainer, _accumulate_update
+from critflow.training import _accumulate_update
 from conftest import tm_with, tiny_config
 
 
@@ -65,6 +63,13 @@ def test_config_validation():
         cf.TrainerConfig(batch_size=0)
     with pytest.raises(ValueError):
         cf.TrainerConfig(alpha0=0.0001, alpha_min=0.001)
+
+
+def test_actor_count_other_than_one_rejected():
+    assert cf.TrainerConfig().actor_count == 1
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="actor_count"):
+            cf.TrainerConfig(actor_count=count)
 
 
 def test_first_visit_baseline_zero(tiny_instance):
@@ -173,74 +178,12 @@ def test_abort_on_nonfinite_params(tiny_instance, tmp_path, monkeypatch):
     assert all(np.all(np.isfinite(t)) for t in params.tensors().values())
 
 
-def test_parallel_training_reaches_brute_force_threshold(tiny_instance):
-    """Async 2-actor training matches the serial learning-gain oracle."""
+def test_serial_training_logs_wall_time(tiny_instance):
     topo, dataset = tiny_instance
-    config = tiny_config(actor_count=2)  # 2000 iterations
-    params, _ = cf.train_parallel(topo, dataset, config)
-    fr = cf.compute_ecmp_fractions(topo)
-    for tm in dataset.matrices:
-        _, u_best = cf.brute_force_best(topo, tm, 2, fractions=fr)
-        acts = cf.policy_selection(params, tm, 2).action_ids(5)
-        r = cf.compute_reward(topo, tm, cf.Solution(actions=acts), fractions=fr)
-        assert r >= 0.95 * (1.0 / u_best)
-
-
-def test_parallel_update_count_and_invariants(tiny_instance):
-    topo, dataset = tiny_instance
-    config = tiny_config(total_iterations=30, batch_size=5, actor_count=2)
-    params, log = cf.train_parallel(topo, dataset, config)
-    assert len(log.records) == 30
-    for rec in log.records:
-        for exp in rec.batch:
-            assert np.isfinite(exp.reward) and exp.reward > 0
-
-
-def test_parallel_actor_slices_disjoint(ring5):
-    mats = cf.generate_tms(ring5, "uniform", 8, 0.9, seed=2)
-    dataset = cf.Dataset(matrices=mats, train_indices=list(range(8)),
-                         test_indices=[], seed=0)
-    trainer = ParallelTrainer(ring5, dataset,
-                              tiny_config(total_iterations=1, actor_count=3))
-    all_ids = [i for sl in trainer.slices for i in sl]
-    assert len(all_ids) == len(set(all_ids)) == 8
-
-
-def test_sync_mode_deterministic(tiny_instance):
-    topo, dataset = tiny_instance
-    config = tiny_config(total_iterations=10, batch_size=4, actor_count=2,
-                         sync=True)
-    p1, _ = cf.train_parallel(topo, dataset, config)
-    p2, _ = cf.train_parallel(topo, dataset, config)
-    for a, b in zip(p1.tensors().values(), p2.tensors().values()):
-        assert np.array_equal(a, b)
-
-
-def test_sync_mode_logs_wall_time(tiny_instance):
-    topo, dataset = tiny_instance
-    config = tiny_config(total_iterations=4, batch_size=3, actor_count=2,
-                         sync=True)
-    _, log = cf.train_parallel(topo, dataset, config)
-    assert len(log.records) == 4
+    config = tiny_config(total_iterations=4, batch_size=3)
+    _, log = cf.train(topo, dataset, config)
+    assert len(log.records) == config.total_iterations
     assert all(rec.wall_ms > 0 for rec in log.records)
-
-
-def test_actor_crash_tolerated(tiny_instance, monkeypatch):
-    topo, dataset = tiny_instance
-    config = tiny_config(total_iterations=12, batch_size=3, actor_count=2)
-    original = ParallelTrainer._actor_sample
-
-    def flaky(self, actor_id, rng, snapshot):
-        if actor_id == 0:
-            raise RuntimeError("injected actor fault")
-        return original(self, actor_id, rng, snapshot)
-
-    monkeypatch.setattr(ParallelTrainer, "_actor_sample", flaky)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params, log = cf.train_parallel(topo, dataset, config)
-    assert len(log.records) == 12
-    assert any("actor 0 crashed" in str(w.message) for w in caught)
 
 
 def test_log_csv_format(tiny_instance, tmp_path):
