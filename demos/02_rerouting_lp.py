@@ -2,13 +2,15 @@
 
 A single hot flow on the triangle gets split across its two paths,
 halving the worst link load; freeing every flow reaches the same point
-here. Also dumps the LP in interchange format for external solvers.
+here. The LP is over paths: it starts from the flow's shortest path and
+adds the detour once the link duals price it below zero. Also dumps that
+final LP in interchange format for external solvers.
 """
 
 import numpy as np
 
 import critflow as cf
-from critflow.rerouting import build_rerouting_lp
+from critflow.rerouting import build_path_lp
 
 triangle = cf.triangle3()
 tm = cf.TrafficMatrix(3, np.zeros((3, 3)))
@@ -27,11 +29,15 @@ for e, ratio in enumerate(sol.sigma[(0, 2)]):
     if ratio > 1e-9:
         lk = triangle.links[e]
         print(f"  {ratio:.0%} of the demand on link {lk.src}->{lk.dst}")
+print("paths the LP ended with (node sequences):")
+for path in sol.paths[(0, 2)]:
+    print("  " + "->".join(str(triangle.links[e].src) for e in path) + "->2")
 
 print("\n=== All-flows optimum (the pr_u denominator oracle) ===")
 u_opt, _ = cf.solve_optimal_all_flows(triangle, tm)
 print(f"u_optimal = {u_opt:.2f}")
 
-print("\n=== LP interchange dump ===")
-problem = build_rerouting_lp(triangle, tm, [(0, 2)], background.load, 1e-5)
-print(cf.lp_to_text(problem, name="triangle rerouting")[:400] + "...")
+print("\n=== The final path LP, in interchange format ===")
+problem = build_path_lp(triangle, tm, [(0, 2)], background.load, sol.paths,
+                        cf.default_epsilon(triangle, 1))
+print(cf.lp_to_text(problem, name="triangle rerouting"))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evaluation, selectors, topology, traffic, training
 from .policy import load_checkpoint
-from .rerouting import build_rerouting_lp, default_epsilon
+from .rerouting import build_path_lp, default_epsilon, solve_rerouting
 from .simplex import dump_lp
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
 
@@ -216,13 +216,17 @@ def _trainer_config(opts, k, iterations=None):
         beta=opts["beta"], width=opts["width"], seed=opts["seed"])
 
 
-def _maybe_dump_first_lp(opts, topo, tm, flows):
+def _maybe_dump_lp(opts, topo, tm, k):
+    """Write the last path LP solved to reroute the top-K critical flows
+    of `tm`, with its final path pool."""
     if not opts.get("dump_lp"):
         return
     fractions = compute_ecmp_fractions(topo)
+    flows = sorted(selectors.top_k_critical(topo, tm, k, fractions=fractions).flows)
     background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
-    problem = build_rerouting_lp(topo, tm, sorted(flows), background.load,
-                                 default_epsilon(topo, max(len(flows), 1)))
+    epsilon = default_epsilon(topo, len(flows))
+    sol = solve_rerouting(topo, tm, flows, background, epsilon)
+    problem = build_path_lp(topo, tm, flows, background.load, sol.paths, epsilon)
     dump_lp(problem, opts["dump_lp"], name="rerouting")
     print(f"wrote LP dump to {opts['dump_lp']}")
 
@@ -260,10 +264,7 @@ def cmd_train(opts):
     _echo_config(opts, out_dir)
     config = _trainer_config(opts, k)
     ckpt = os.path.join(out_dir, "checkpoint.npz")
-    first_train = dataset.train[0]
-    _maybe_dump_first_lp(opts, topo, first_train,
-                         [topology.flow_of_index(a, topo.node_count)
-                          for a in range(k)])
+    _maybe_dump_lp(opts, topo, dataset.train[0], k)
     _, log = training.train(topo, dataset, config, checkpoint_path=ckpt,
                             checkpoint_every=opts["checkpoint_every"])
     log.write_csv(os.path.join(out_dir, "training_log.csv"))
@@ -286,7 +287,7 @@ def cmd_eval(opts):
             raise UsageError("eval with the policy method requires --checkpoint")
         params, _, _, _ = load_checkpoint(opts["checkpoint"])
     test = dataset.test
-    _maybe_dump_first_lp(opts, topo, test[0], [])
+    _maybe_dump_lp(opts, topo, test[0], k)
     records, aggregates = evaluation.eval_suite(
         topo, test, methods, k, params=params,
         include_delay=not opts["skip_delay"], seed=opts["seed"])

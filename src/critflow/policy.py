@@ -10,6 +10,8 @@ is written out so gradient checks can hold to finite-difference accuracy.
 
 from __future__ import annotations
 
+import mmap
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +65,43 @@ def _param_shapes(n, width):
             "fc2_w": (width, n_act), "fc2_b": (n_act,)}
 
 
+# The map of each size whose array died last, kept for the next array of
+# that size (see _mapped_empty).
+_SPARE_MAPS = {}
+
+
+def _mapped_empty(shape):
+    """An uninitialized float64 array in an anonymous memory map of its own.
+
+    fc1_w runs to megabytes (8 MiB at 8 nodes and width 128). From the
+    malloc heap, a freed copy leaves a hole that later small allocations
+    split, so the next copy often lands on fresh pages, and a process that
+    initializes one policy after another peaks at two copies or at three,
+    depending on what ran in between. Here the map of an array that died
+    is kept, one per size, for the next array of that size: the peak is
+    the copies alive at once plus at most one spare, and a new policy
+    reuses pages that are already faulted in, as it did from the heap.
+    """
+    count = int(np.prod(shape))
+    nbytes = max(count, 1) * np.dtype(np.float64).itemsize
+    buf = _SPARE_MAPS.pop(nbytes, None)
+    if buf is None:
+        buf = mmap.mmap(-1, nbytes)
+    flat = np.frombuffer(buf, dtype=np.float64)
+    # every view of the result has `flat` as its base, so `flat` dies last
+    weakref.finalize(flat, _SPARE_MAPS.setdefault, nbytes, buf)
+    return flat[:count].reshape(shape)
+
+
 def _glorot(rng, shape, fan_in, fan_out):
+    """Uniform on [-bound, bound): the draws of rng.uniform(-bound, bound,
+    size=shape), bit for bit, written straight into a mapped array."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    out = _mapped_empty(shape)
+    rng.random(out=out)
+    out *= 2.0 * bound
+    out -= bound
+    return out
 
 
 def init_params(n, width=128, seed=0):

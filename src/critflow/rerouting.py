@@ -1,16 +1,28 @@
 """Explicit rerouting of selected flows to minimize maximum link utilization.
 
-The selected flows get per-link split ratios from an LP; everything else
-contributes a fixed background load (normally its ECMP share). The LP is
+The selected flows get split ratios over simple paths from an LP; everything
+else contributes a fixed background load (normally its ECMP share). The LP
+has one column per (selected flow f, path p), x_p being the share of f's
+demand d_f sent down p:
 
-    minimize    U + eps * sum of all ratios
-    subject to  sum_f ratio[f,e] * demand_f + background_e <= capacity_e * U
-                ratio conservation: net inflow of ratio at a node is
-                    -1 at the flow source, +1 at its destination, 0 elsewhere
-                0 <= ratio <= 1,  U >= 0
+    minimize    U + eps * sum_p len(p) * x_p
+    subject to  (sum_p d_f * x_p * [e in p] + background_e) / capacity_e <= U
+                sum over f's paths of x_p = 1        for every selected f
+                x >= 0,  U >= 0
 
 The eps term keeps optimal routes from wandering onto needlessly long
-paths while staying far too small to perturb U.
+paths while staying far too small to perturb U. The capacity rows are in
+utilization units, so their slacks and duals are of order one whatever
+the capacities, and the solver's absolute reduced-cost tolerance stays
+far below eps (in demand units, a slack of 1e4 times a reduced cost of
+1e-9 outweighs the tie-break). The paths are not enumerated: the LP is
+solved by column generation (Ford & Fulkerson 1958). It starts from each
+flow's min-cost path; after every solve, one Dijkstra per flow under the
+link weights eps - y_e * d_f / capacity_e (y_e <= 0 the capacity row
+duals) finds the path of least reduced cost, and a path that prices below
+zero joins the LP. No such path left means the LP over the paths in hand
+is optimal over all paths. A flow's split ratio on a link (`sigma`) is
+the sum of its paths' shares through that link, so it carries no cycle.
 
 Also here: the all-flows optimum, the network delay proxy
 sum(load / (capacity - load)), and its minimizer over all routings via
@@ -30,12 +42,13 @@ which does not (see solve_delay_optimal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ecmp import LinkLoads, shortest_distances_to
-from .simplex import LpProblem, solve_lp
+from .simplex import REDUCED_COST_TOL, LpProblem, solve_lp
 
 CONSERVATION_TOL = 1e-7
 
@@ -50,6 +63,7 @@ class ReroutingSolution:
     u: float               # max link utilization achieved
     objective: float       # LP objective (U + eps * sum sigma)
     link_loads: LinkLoads
+    paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
 
 
 def default_epsilon(topo, k):
@@ -57,58 +71,70 @@ def default_epsilon(topo, k):
     return 1e-4 / (topo.link_count * max(k, 1))
 
 
-def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
-    """Assemble the LP; variable 0 is U, then one ratio per (flow, link)."""
-    flows = sorted(critical)
-    n, m = topo.node_count, topo.link_count
-    k = len(flows)
-    nv = 1 + k * m
+def _cheapest_path(topo, s, d, weights):
+    """(links of a min-weight s->d path, its weight), weights >= 0.
 
-    c = np.full(nv, epsilon)
+    The path is read from Dijkstra's predecessor tree, which is acyclic
+    even where weights are zero and distances tie.
+    """
+    w = weights.tolist()
+    dist = [np.inf] * topo.node_count
+    pred = [-1] * topo.node_count
+    dist[s] = 0.0
+    heap = [(0.0, s)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u == d:
+            break
+        if du > dist[u]:
+            continue
+        for e in topo.out_links[u]:
+            v = topo.links[e].dst
+            if du + w[e] < dist[v]:
+                dist[v] = du + w[e]
+                pred[v] = e
+                heapq.heappush(heap, (dist[v], v))
+    path = []
+    node = d
+    while node != s:
+        path.append(pred[node])
+        node = topo.links[pred[node]].src
+    return tuple(reversed(path)), dist[d]
+
+
+def build_path_lp(topo, tm, flows, background_load, paths, epsilon):
+    """Assemble the path LP over the given pools; variable 0 is U, then one
+    column per path in paths[f] (a tuple of link indices), flows in the
+    given order. Rows: one capacity row per link, in utilization units,
+    then one convexity row per flow."""
+    m, k = topo.link_count, len(flows)
+    cap = topo.capacity
+    cols = [(fi, p) for fi, f in enumerate(flows) for p in paths[f]]
+    a = np.zeros((m + k, 1 + len(cols)))
+    a[:m, 0] = -1.0
+    c = np.zeros(1 + len(cols))
     c[0] = 1.0
-    lower = np.zeros(nv)
-    upper = np.ones(nv)
-    upper[0] = np.inf
-
-    rows = []
-    rel = []
-    rhs = []
     names = ["U"]
-    for fi, (s, d) in enumerate(flows):
-        for e in range(m):
-            lk = topo.links[e]
-            names.append(f"r{s}_{d}__{lk.src}_{lk.dst}")
-
-    def var(fi, e):
-        return 1 + fi * m + e
-
-    for e in range(m):
-        row = np.zeros(nv)
-        for fi, (s, d) in enumerate(flows):
-            row[var(fi, e)] = tm.demand[s, d]
-        row[0] = -topo.capacity[e]
-        rows.append(row)
-        rel.append("<=")
-        rhs.append(-background_load[e])
-
-    for fi, (s, d) in enumerate(flows):
-        for i in range(n):
-            row = np.zeros(nv)
-            for e in topo.in_links[i]:
-                row[var(fi, e)] += 1.0
-            for e in topo.out_links[i]:
-                row[var(fi, e)] -= 1.0
-            rows.append(row)
-            rel.append("=")
-            rhs.append(-1.0 if i == s else (1.0 if i == d else 0.0))
-
-    return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs),
-                     lower=lower, upper=upper, var_names=names)
+    for j, (fi, p) in enumerate(cols, start=1):
+        s, d = flows[fi]
+        a[list(p), j] = tm.demand[s, d] / cap[list(p)]
+        a[m + fi, j] = 1.0
+        c[j] = epsilon * len(p)
+        hops = "_".join(str(topo.links[e].src) for e in p)
+        names.append(f"x{s}_{d}__{hops}_{d}")
+    b = np.concatenate([-np.asarray(background_load, dtype=float) / cap, np.ones(k)])
+    return LpProblem(c=c, a=a, rel=["<="] * m + ["="] * k, b=b, var_names=names)
 
 
 def solve_rerouting(topo, tm, critical, background, epsilon=None):
     """Optimal split ratios for the flows in `critical` given fixed
-    background loads (from ECMP with those flows excluded)."""
+    background loads (from ECMP with those flows excluded).
+
+    Column generation over simple paths (see the module docstring); the
+    returned `paths` hold each flow's final pool, so
+    build_path_lp(topo, tm, sorted(critical), background, paths, epsilon)
+    is the last LP solved.
+    """
     bg = np.asarray(background.load if isinstance(background, LinkLoads)
                     else background, dtype=float)
     flows = sorted(critical)
@@ -119,18 +145,39 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
                                  link_loads=loads)
     if epsilon is None:
         epsilon = default_epsilon(topo, len(flows))
-    problem = build_rerouting_lp(topo, tm, flows, bg, epsilon)
-    sol = solve_lp(problem)
     m = topo.link_count
+    demand = np.array([tm.demand[s, d] for s, d in flows])
+    inv_cap = 1.0 / topo.capacity
+    paths = {f: [_cheapest_path(topo, *f, topo.cost)[0]] for f in flows}
+    while True:
+        sol = solve_lp(build_path_lp(topo, tm, flows, bg, paths, epsilon))
+        y, mu = sol.duals[:m], sol.duals[m:]
+        added = False
+        for fi, f in enumerate(flows):
+            # y <= 0 on the capacity rows, up to the solver's tolerance
+            weights = np.maximum(epsilon - y * inv_cap * demand[fi], 0.0)
+            path, weight = _cheapest_path(topo, *f, weights)
+            # a path already in the pool prices >= -tol in the LP just
+            # solved, whatever this sum rounds to: never add it twice
+            if weight - mu[fi] < -REDUCED_COST_TOL and path not in paths[f]:
+                paths[f].append(path)
+                added = True
+        if not added:
+            break
     sigma = {}
     load = bg.copy()
-    for fi, (s, d) in enumerate(flows):
-        ratios = sol.x[1 + fi * m: 1 + (fi + 1) * m]
-        sigma[(s, d)] = ratios
-        load = load + ratios * tm.demand[s, d]
+    j = 1
+    for fi, f in enumerate(flows):
+        ratios = np.zeros(m)
+        for p in paths[f]:
+            ratios[list(p)] += sol.x[j]
+            j += 1
+        sigma[f] = ratios
+        load = load + ratios * demand[fi]
     loads = LinkLoads.from_load(load, topo.capacity)
     return ReroutingSolution(sigma=sigma, u=loads.max_utilization,
-                             objective=sol.objective, link_loads=loads)
+                             objective=sol.objective, link_loads=loads,
+                             paths=paths)
 
 
 def build_optimum_lp(topo, tm):

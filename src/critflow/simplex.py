@@ -94,10 +94,16 @@ class LpSolution:
     x: np.ndarray
     objective: float
     iterations: int = 0
+    duals: np.ndarray = None  # (m,) row duals c_B B^-1 of the final basis
 
 
 def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL):
     """Solve to an optimal basic feasible solution.
+
+    The row duals y = c_B B^-1 of the final basis come back as `duals`:
+    y <= 0 on '<=' rows and y >= 0 on '>=' rows (within `tol`), and every
+    column's reduced cost c_j - y @ A[:, j] is >= -tol unless the column
+    sits at a finite upper bound.
 
     Raises LpInfeasibleError / LpUnboundedError / LpIterationLimitError.
     """
@@ -177,7 +183,8 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL):
         if not ok:
             raise LpError(f"solution violates row {i} by {resid[i]:.3e}")
     return LpSolution(x=x, objective=float(problem.c @ x),
-                      iterations=state.iterations)
+                      iterations=state.iterations,
+                      duals=c2[state.basis] @ state.binv)
 
 
 @dataclass

@@ -4,13 +4,19 @@ These deliberately re-derive results through different algorithms than the
 implementation: Floyd-Warshall + recursive splitting instead of Dijkstra +
 linear solve for ECMP; bisection over max-flow feasibility instead of the
 simplex for single-flow min-max routing; exhaustive vertex enumeration for
-small LPs.
+small LPs; the edge form of the rerouting LP (one split ratio per flow and
+link, with conservation rows) instead of column generation over paths; a
+dual certificate checked from the LP's own data instead of the solver's
+word; scipy's HiGHS where scipy is installed.
 """
 
 from collections import deque
 from itertools import combinations
 
 import numpy as np
+
+from critflow.ecmp import LinkLoads
+from critflow.simplex import LpProblem, solve_lp
 
 
 def floyd_warshall_dist(topo):
@@ -180,3 +186,140 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
     if not found:
         raise RuntimeError("oracle found no feasible vertex")
     return best
+
+
+def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
+    """Edge form of the rerouting LP; variable 0 is U, then one ratio per
+    (flow, link). Its size is 1 + K*M columns and M + K*N rows."""
+    flows = sorted(critical)
+    n, m = topo.node_count, topo.link_count
+    k = len(flows)
+    nv = 1 + k * m
+
+    c = np.full(nv, epsilon)
+    c[0] = 1.0
+    lower = np.zeros(nv)
+    upper = np.ones(nv)
+    upper[0] = np.inf
+
+    rows = []
+    rel = []
+    rhs = []
+    names = ["U"]
+    for fi, (s, d) in enumerate(flows):
+        for e in range(m):
+            lk = topo.links[e]
+            names.append(f"r{s}_{d}__{lk.src}_{lk.dst}")
+
+    def var(fi, e):
+        return 1 + fi * m + e
+
+    for e in range(m):
+        row = np.zeros(nv)
+        for fi, (s, d) in enumerate(flows):
+            row[var(fi, e)] = tm.demand[s, d]
+        row[0] = -topo.capacity[e]
+        rows.append(row)
+        rel.append("<=")
+        rhs.append(-background_load[e])
+
+    for fi, (s, d) in enumerate(flows):
+        for i in range(n):
+            row = np.zeros(nv)
+            for e in topo.in_links[i]:
+                row[var(fi, e)] += 1.0
+            for e in topo.out_links[i]:
+                row[var(fi, e)] -= 1.0
+            rows.append(row)
+            rel.append("=")
+            rhs.append(-1.0 if i == s else (1.0 if i == d else 0.0))
+
+    return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs),
+                     lower=lower, upper=upper, var_names=names)
+
+
+def edge_form_u(topo, tm, critical, background_load, epsilon):
+    """Max utilization of the edge-form optimum, read from its link loads."""
+    x = solve_lp(build_rerouting_lp(topo, tm, critical, background_load, epsilon)).x
+    load = np.array(background_load, dtype=float)
+    for fi, (s, d) in enumerate(sorted(critical)):
+        load += x[1 + fi * topo.link_count: 1 + (fi + 1) * topo.link_count] * tm.demand[s, d]
+    return LinkLoads.from_load(load, topo.capacity).max_utilization
+
+
+def highs_min(problem):
+    """(objective, x) of an LpProblem with '<=' and '=' rows, solved by
+    scipy's HiGHS simplex."""
+    from scipy.optimize import linprog
+    rel = np.array(problem.rel)
+    assert not np.any(rel == ">="), "'>=' rows are not supported"
+    ub, eq = rel == "<=", rel == "="
+    res = linprog(problem.c, A_ub=problem.a[ub], b_ub=problem.b[ub],
+                  A_eq=problem.a[eq], b_eq=problem.b[eq],
+                  bounds=list(zip(problem.lower, np.where(np.isinf(problem.upper), None,
+                                                           problem.upper))),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+    return float(res.fun), res.x
+
+
+def positive_cycle(topo, ratios, tol=1e-9):
+    """A directed cycle of links that all carry more than `tol`, as a list of
+    link indices, or None."""
+    state = [0] * topo.node_count  # 0 unseen, 1 on the DFS stack, 2 finished
+    stack_links = []
+
+    def visit(u):
+        state[u] = 1
+        for e in topo.out_links[u]:
+            if ratios[e] <= tol:
+                continue
+            v = topo.links[e].dst
+            stack_links.append(e)
+            if state[v] == 1:
+                start = next(i for i, f in enumerate(stack_links)
+                             if topo.links[f].src == v)
+                return stack_links[start:]
+            if state[v] == 0:
+                found = visit(v)
+                if found:
+                    return found
+            stack_links.pop()
+        state[u] = 2
+        return None
+
+    for u in range(topo.node_count):
+        if state[u] == 0:
+            found = visit(u)
+            if found:
+                return found
+    return None
+
+
+def check_dual_certificate(problem, solution, tol=1e-9):
+    """Check from the LP's own data that `solution.duals` prove `solution.x`
+    optimal; for problems with lower bounds 0 and no finite upper bound.
+
+    Row signs: y <= tol on '<=' rows, y >= -tol on '>=' rows. Dual
+    feasibility: every reduced cost c - y A >= -tol (tol scaled by the
+    column's size). Strong duality: y b equals c x within 1e-9 relative.
+    Raises AssertionError naming the failed condition.
+    """
+    assert np.all(problem.lower == 0) and np.all(np.isinf(problem.upper)), \
+        "certificate check needs x >= 0 and no finite upper bounds"
+    y = np.asarray(solution.duals, dtype=float)
+    assert y.shape == (problem.n_rows,), "one dual per row"
+    rel = np.array(problem.rel)
+    assert np.all(y[rel == "<="] <= tol), "dual sign on a '<=' row"
+    assert np.all(y[rel == ">="] >= -tol), "dual sign on a '>=' row"
+    scale = 1.0 + np.abs(problem.c) + np.abs(y) @ np.abs(problem.a)
+    reduced = problem.c - y @ problem.a
+    worst = int(np.argmin(reduced / scale))
+    assert reduced[worst] >= -tol * scale[worst], \
+        f"reduced cost {reduced[worst]:.3e} of column {worst}"
+    primal, dual = float(problem.c @ solution.x), float(y @ problem.b)
+    assert abs(primal - dual) <= 1e-9 * max(abs(primal), abs(dual), 1e-300), \
+        f"duality gap: c x = {primal!r}, y b = {dual!r}"

@@ -206,7 +206,7 @@ def test_removed_parallel_flags_are_usage_errors(tmp_path, ring5_file, flags):
     assert not (tmp_path / "t").exists()
 
 
-def test_dump_lp_flag(tmp_path, ring5_file):
+def test_dump_lp_flag(tmp_path, ring5_file, ring5):
     lp_path = tmp_path / "problem.lp"
     rc = run(["eval", "--topology", ring5_file, "--tm-model", "uniform",
               "--tm-count", "4", "--k", "2", "--methods", "ecmp",
@@ -215,6 +215,10 @@ def test_dump_lp_flag(tmp_path, ring5_file):
     assert rc == 0
     text = lp_path.read_text()
     assert "Minimize" in text and "Subject To" in text
+    # the final path LP: one capacity row per link, one convexity row per flow
+    rows = text.split("Subject To\n")[1].split("Bounds\n")[0].splitlines()
+    assert len(rows) == ring5.link_count + 2
+    assert sum(row.endswith(" = 1.0") for row in rows) == 2
 
 
 def test_resolve_k_rounding():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,59 @@ def test_forward_pure_function():
 def test_fc1_input_is_width_times_n_squared():
     params = cf.init_params(6, width=128, seed=0)
     assert params.fc1_w.shape[0] == 128 * 36
+
+
+def test_init_params_are_glorot_uniform_draws():
+    n, width, seed = 5, 16, 11
+    params = cf.init_params(n, width=width, seed=seed)
+    rng = np.random.default_rng(seed)
+    fans = {"conv_w": (9, 9 * width), "fc1_w": (n * n * width, width),
+            "fc2_w": (width, n * (n - 1))}
+    for name, t in params.tensors().items():
+        if name in fans:
+            bound = np.sqrt(6.0 / sum(fans[name]))
+            want = rng.uniform(-bound, bound, size=t.shape)
+            assert t.tobytes() == want.tobytes(), name
+        else:
+            assert not t.any(), name
+        assert t.flags.writeable
+
+
+# fc1_w of 8 nodes at width 128 is 8 MiB. Each round makes small arrays
+# and keeps some alive, which split any heap hole an old copy leaves. The
+# peak is VmHWM: ru_maxrss would carry over the parent's peak from the fork.
+_POLICIES_IN_TURN = """
+import numpy as np
+import critflow as cf
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith("VmHWM:"))
+keep = []
+params = cf.init_params(8, width=128, seed=0)
+base = rss()
+for seed in range(1, 12):
+    params = cf.init_params(8, width=128, seed=seed)
+    keep.append([np.ones(1000 + 37 * i) for i in range(20)][::5])
+print((rss() - base) / params.fc1_w.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_policies_initialized_in_turn_peak_at_two_copies():
+    env = {**os.environ, "PYTHONPATH": str(Path(cf.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", _POLICIES_IN_TURN], check=True,
+                         capture_output=True, text=True, timeout=120, env=env)
+    # one more copy than the one alive at the start, never a third
+    assert float(out.stdout) < 1.5
+
+
+def test_weight_map_not_reused_while_a_view_lives():
+    params = cf.init_params(3, width=4, seed=0)
+    view = params.fc1_w[1:].T
+    want = view.copy()
+    del params
+    cf.init_params(3, width=4, seed=1)
+    assert np.array_equal(view, want)
 
 
 def test_shape_mismatch_rejected():

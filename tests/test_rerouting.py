@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from conftest import tm_with
-from oracles import simple_paths
+from critflow.rerouting import build_optimum_lp, build_path_lp
+from conftest import ABILENE, tm_with
+from oracles import (build_rerouting_lp, check_dual_certificate, edge_form_u,
+                     highs_min, positive_cycle, simple_paths)
 
 
 def background_for(topo, tm, critical):
@@ -60,8 +62,8 @@ def test_zero_tm_optimal_zero(ring5):
 
 
 def assert_optimum_matches_per_flow_lp(topo, tm):
-    """The per-destination optimum against the per-flow LP it replaced
-    (every flow rerouted over zero background), and its loads against U."""
+    """The per-destination optimum against the rerouting LP over every
+    flow with zero background, and its loads against U."""
     u, loads = cf.solve_optimal_all_flows(topo, tm)
     per_flow = cf.solve_rerouting(topo, tm, topo.flows(), np.zeros(topo.link_count))
     assert u == pytest.approx(per_flow.u, rel=1e-9, abs=0.0)
@@ -162,10 +164,173 @@ def test_rerouting_deterministic(ring5):
 
 
 def test_build_lp_shapes(triangle):
-    from critflow.rerouting import build_rerouting_lp
     tm = tm_with(3, {(0, 2): 0.9})
     problem = build_rerouting_lp(triangle, tm, [(0, 2)], np.zeros(6), 1e-5)
     # 1 U + 6 ratios; 6 capacity rows + 3 conservation rows
     assert problem.n_vars == 7
     assert problem.n_rows == 9
     assert problem.var_names[0] == "U"
+
+
+def test_path_lp_shapes(triangle):
+    tm = tm_with(3, {(0, 2): 0.9, (1, 0): 0.2})
+    flows = [(0, 2), (1, 0)]
+    link = triangle.link_index
+    paths = {(0, 2): [(link[(0, 2)],), (link[(0, 1)], link[(1, 2)])],
+             (1, 0): [(link[(1, 0)],)]}
+    problem = build_path_lp(triangle, tm, flows, np.zeros(6), paths, 1e-5)
+    # 1 U + 3 paths; 6 capacity rows + 2 convexity rows
+    assert (problem.n_rows, problem.n_vars) == (8, 4)
+    assert problem.var_names == ["U", "x0_2__0_2", "x0_2__0_1_2", "x1_0__1_0"]
+    assert problem.c == pytest.approx([1.0, 1e-5, 2e-5, 1e-5])
+    assert problem.a[link[(0, 1)], 2] == 0.9 and problem.a[link[(0, 1)], 1] == 0.0
+    assert problem.rel == ["<="] * 6 + ["="] * 2
+
+
+def test_solution_pools_rebuild_the_last_lp(ring5):
+    tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=4)[0]
+    flows = cf.top_k_critical(ring5, tm, 4).flows
+    bg = background_for(ring5, tm, flows)
+    sol = cf.solve_rerouting(ring5, tm, flows, bg)
+    eps = cf.default_epsilon(ring5, len(flows))
+    problem = build_path_lp(ring5, tm, sorted(flows), bg.load, sol.paths, eps)
+    assert sorted(sol.paths) == sorted(flows)
+    assert problem.n_rows == ring5.link_count + len(flows)
+    assert cf.solve_lp(problem).objective == pytest.approx(sol.objective, rel=1e-12)
+    for f, pool in sol.paths.items():
+        assert len(set(pool)) == len(pool)
+        assert all(p in simple_paths(ring5, *f) for p in pool)
+
+
+@pytest.mark.parametrize("k", [1, 3, "all"])
+@pytest.mark.parametrize("model", ["uniform", "exponential"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_path_form_matches_edge_form(n, model, k):
+    for seed in range(3):
+        topo = cf.random_topology(n, 2, seed=seed)
+        tm = cf.generate_tms(topo, model, 1, 0.9, seed=seed)[0]
+        flows = topo.flows() if k == "all" else cf.top_k_critical(topo, tm, k).flows
+        bg = background_for(topo, tm, flows)
+        sol = cf.solve_rerouting(topo, tm, flows, bg)
+        eps = cf.default_epsilon(topo, len(flows))
+        assert sol.u == pytest.approx(edge_form_u(topo, tm, flows, bg.load, eps),
+                                      rel=1e-9, abs=0.0)
+        cf.check_rerouting_feasibility(topo, tm, sol, bg)
+        for f, ratios in sol.sigma.items():
+            assert positive_cycle(topo, ratios) is None, f"flow {f} circulates"
+
+
+def test_positive_cycle_found(ring5):
+    ratios = np.zeros(ring5.link_count)
+    for pair in [(0, 1), (1, 2), (2, 0), (3, 4)]:
+        ratios[ring5.link_index[pair]] = 0.5
+    cycle = positive_cycle(ring5, ratios)
+    assert sorted(ring5.links[e].src for e in cycle) == [0, 1, 2]
+    ratios[ring5.link_index[(2, 0)]] = 1e-12
+    assert positive_cycle(ring5, ratios) is None
+
+
+def _abilene_case(k, seed=0):
+    topo = cf.load_topology(ABILENE)
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=seed)[0]
+    flows = cf.top_k_critical(topo, tm, k).flows
+    return topo, tm, flows, background_for(topo, tm, flows)
+
+
+def test_zero_epsilon_terminates():
+    # with eps = 0 every link with a slack capacity row weighs 0 in pricing
+    topo, tm, flows, bg = _abilene_case(13)
+    no_eps = cf.solve_rerouting(topo, tm, flows, bg, epsilon=0.0)
+    with_eps = cf.solve_rerouting(topo, tm, flows, bg)
+    assert no_eps.u == pytest.approx(with_eps.u, rel=1e-9, abs=0.0)
+    assert no_eps.objective == pytest.approx(no_eps.u, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.0])
+def test_zero_demand_flow_terminates(ring5, epsilon):
+    tm = cf.generate_tms(ring5, "uniform", 1, 0.9, seed=6)[0]
+    tm.demand[0, 3] = 0.0
+    flows = [(0, 3), (2, 4), (1, 0)]
+    bg = background_for(ring5, tm, flows)
+    sol = cf.solve_rerouting(ring5, tm, flows, bg, epsilon=epsilon)
+    cf.check_rerouting_feasibility(ring5, tm, sol, bg)
+    if epsilon is None:  # the tie-break alone routes it, on a fewest-hop path
+        fewest_hops = min(len(p) for p in simple_paths(ring5, 0, 3))
+        assert sol.sigma[(0, 3)].sum() == pytest.approx(fewest_hops, abs=1e-9)
+    want = edge_form_u(ring5, tm, flows, bg.load, 0.0)
+    assert sol.u == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_every_flow_over_zero_background_equals_optimum():
+    topo = cf.load_topology(ABILENE)
+    tm = cf.generate_tms(topo, "uniform", 1, 0.9, seed=1)[0]
+    u_opt, _ = cf.solve_optimal_all_flows(topo, tm)
+    sol = cf.solve_rerouting(topo, tm, topo.flows(), np.zeros(topo.link_count))
+    assert sol.u == pytest.approx(u_opt, rel=1e-9, abs=0.0)
+
+
+def test_ebone_sized_reward_matches_highs():
+    pytest.importorskip("scipy")
+    topo = cf.infer_capacities_from_costs(cf.random_topology(23, 14, seed=3), 1000.0)
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=0)[0]
+    fractions = cf.compute_ecmp_fractions(topo)
+    flows = cf.top_k_critical(topo, tm, 51, fractions=fractions).flows
+    actions = [cf.flow_index(s, d, topo.node_count) for s, d in flows]
+    reward = cf.compute_reward(topo, tm, actions, fractions=fractions)
+    bg = cf.ecmp_link_loads(topo, tm, fractions, exclude=flows)
+    u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
+    assert reward == pytest.approx(1.0 / u_highs, rel=1e-7, abs=0.0)
+
+
+def test_tie_break_honoured_at_abilene_scale():
+    # Abilene's capacities are 9920: with capacity rows in demand units, a
+    # reduced cost within the solver's 1e-9 tolerance times a slack near
+    # 1e4 outweighed the eps term: the routes took up to 4.9 extra hops
+    pytest.importorskip("scipy")
+    for seed in range(3):
+        topo, tm, flows, bg = _abilene_case(13, seed)
+        sol = cf.solve_rerouting(topo, tm, flows, bg)
+        eps = cf.default_epsilon(topo, len(flows))
+        objective, x = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, eps))
+        assert sol.objective == pytest.approx(objective, rel=1e-9, abs=0.0)
+        hops = sum(ratios.sum() for ratios in sol.sigma.values())
+        assert hops == pytest.approx(x[1:].sum(), abs=1e-3)
+
+
+def _optimum_instances():
+    for n in (4, 5, 6, 8):
+        topo = cf.random_topology(n, n - 2, seed=n)
+        for model in ("uniform", "exponential"):
+            yield topo, cf.generate_tms(topo, model, 1, 0.9, seed=n)[0]
+    abilene = cf.load_topology(ABILENE)  # capacities of 9920
+    yield abilene, cf.generate_tms(abilene, "exponential", 1, 0.9, seed=0)[0]
+
+
+def test_optimum_lp_duals_certify_optimality():
+    for topo, tm in _optimum_instances():
+        problem = build_optimum_lp(topo, tm)
+        check_dual_certificate(problem, cf.solve_lp(problem))
+
+
+def test_path_lp_duals_certify_optimality(ring5):
+    cases = [_abilene_case(13)]
+    for seed in range(4):
+        tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=seed)[0]
+        flows = cf.top_k_critical(ring5, tm, 2 + seed).flows
+        cases.append((ring5, tm, flows, background_for(ring5, tm, flows)))
+    for topo, tm, flows, bg in cases:
+        sol = cf.solve_rerouting(topo, tm, flows, bg)
+        eps = cf.default_epsilon(topo, len(flows))
+        problem = build_path_lp(topo, tm, sorted(flows), bg.load, sol.paths, eps)
+        check_dual_certificate(problem, cf.solve_lp(problem))
+
+
+def test_dual_certificate_rejects_wrong_duals():
+    topo, tm = next(_optimum_instances())
+    problem = build_optimum_lp(topo, tm)
+    good = cf.solve_lp(problem)
+    wrong = [good.duals * 0.5, -good.duals, np.zeros_like(good.duals)]
+    for duals in wrong:
+        with pytest.raises(AssertionError):
+            check_dual_certificate(problem, cf.LpSolution(x=good.x, objective=good.objective,
+                                                          duals=duals))
