@@ -1,8 +1,10 @@
 """The selection policy network and its analytic gradients.
 
 Shows the traffic-matrix-in, action-distribution-out contract, sampling
-without replacement, and a quick finite-difference spot check of the
-hand-written backward pass.
+without replacement, a quick finite-difference spot check of the
+hand-written backward pass, and the batched update that training applies:
+one forward and one backward pass over a whole batch, equal to the sum of
+the per-sample gradients.
 """
 
 import numpy as np
@@ -48,3 +50,15 @@ for name, tensor in params.tensors().items():
     print(f"  {name:7s} largest component: analytic "
           f"{grads.tensors()[name][idx]:+.6f} vs fd {fd:+.6f}")
 print(f"worst relative error: {worst:.2e}")
+
+print("\n=== Batched update vs per-sample gradients ===")
+tms = [tm, cf.TrafficMatrix(n, demand.T.copy()), tm]   # a repeated state
+sols = [sol, cf.Solution(actions=(0, 4, 9)), cf.Solution(actions=(2, 3, 11))]
+advs, alpha = [1.5, -0.7, 0.0], 0.01
+batched = cf.batch_gradients(params, tms, sols, advs, beta, scale=alpha)
+for name, t in batched.tensors().items():
+    summed = alpha * sum(cf.gradients(params, m, s, a, beta).tensors()[name]
+                         for m, s, a in zip(tms, sols, advs))
+    err = np.max(np.abs(t - summed)) / np.max(np.abs(summed))
+    print(f"  {name:7s} batched vs alpha * sum of per-sample: "
+          f"max relative difference {err:.1e}")

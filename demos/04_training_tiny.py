@@ -3,6 +3,7 @@
 Five nodes, twenty flows, three traffic matrices, K=2. A few hundred
 REINFORCE iterations take the greedy selection most of the way to the
 exhaustive-search optimum; 2000 reach it (see the acceptance suite).
+The training log also says where each iteration's time went.
 """
 
 import numpy as np
@@ -22,6 +23,13 @@ params, log = cf.train(topo, dataset, config)
 rewards = [r.mean_reward for r in log.records]
 print(f"mean sampled reward: first 50 iters {np.mean(rewards[:50]):.3f}, "
       f"last 50 iters {np.mean(rewards[-50:]):.3f}")
+
+print("\n=== where an iteration's time goes (mean over the run) ===")
+for phase in ("forward_ms", "sample_ms", "reward_ms", "update_ms", "wall_ms"):
+    print(f"  {phase:10s} {np.mean([getattr(r, phase) for r in log.records]):7.3f} ms")
+hits = sum(r.cache_hits for r in log.records)
+samples = config.batch_size * config.total_iterations
+print(f"  reward-cache hits: {hits} of {samples} samples ({hits / samples:.1%})")
 
 print("\n=== greedy selection vs exhaustive search ===")
 fractions = cf.compute_ecmp_fractions(topo)

@@ -6,6 +6,13 @@ ReLU, a fully connected layer of `width` units, Leaky ReLU, and a linear
 layer onto the N*(N-1) flow ids; softmax yields the selection
 distribution. All math is float64 numpy, no autodiff: the backward pass
 is written out so gradient checks can hold to finite-difference accuracy.
+
+The math runs on a stack of B matrices at once (`_forward_batch`,
+`_backward_batch`): im2col over the batch, so the convolution and each
+dense layer are one matmul, and a backward pass whose dlogits rows carry
+each sample's advantage and the step size, so that its matmuls also sum
+the gradient over the batch. `forward`, `gradients` and
+`selection_objective` are batches of one.
 """
 
 from __future__ import annotations
@@ -148,55 +155,76 @@ class Solution:
             raise PolicyError("solution actions must be distinct")
 
 
-def _normalize_input(tm_demand):
-    x = np.asarray(tm_demand, dtype=float)
-    peak = x.max()
-    return x / peak if peak > 0 else np.zeros_like(x)
+def _stack_inputs(params, tms):
+    """(B, N, N) stack of the matrices, each scaled to a peak of 1."""
+    for tm in tms:
+        if tm.n != params.n:
+            raise PolicyError(f"traffic matrix n={tm.n} != policy n={params.n}")
+    x = np.array([tm.demand for tm in tms], dtype=float)
+    peak = x.max(axis=(1, 2), keepdims=True)
+    return np.divide(x, peak, out=np.zeros_like(x), where=peak > 0)
 
 
 def _im2col(x):
-    """(N, N) -> (N*N, 9) patches with zero same-padding."""
-    n = x.shape[0]
-    padded = np.zeros((n + 2, n + 2))
-    padded[1:-1, 1:-1] = x
-    cols = np.empty((n * n, KERNEL * KERNEL))
-    idx = 0
-    for di in range(KERNEL):
-        for dj in range(KERNEL):
-            cols[:, idx] = padded[di:di + n, dj:dj + n].ravel()
-            idx += 1
-    return cols
+    """(B, N, N) -> (B*N*N, 9) patches with zero same-padding."""
+    b, n = x.shape[0], x.shape[1]
+    padded = np.zeros((b, n + 2, n + 2))
+    padded[:, 1:-1, 1:-1] = x
+    cols = np.empty((b, n, n, KERNEL * KERNEL))
+    for idx in range(KERNEL * KERNEL):
+        di, dj = divmod(idx, KERNEL)
+        cols[..., idx] = padded[:, di:di + n, dj:dj + n]
+    return cols.reshape(b * n * n, KERNEL * KERNEL)
 
 
 def _leaky(z):
-    return np.where(z >= 0, z, LEAKY_SLOPE * z)
+    return np.maximum(z, LEAKY_SLOPE * z)  # as LEAKY_SLOPE < 1
 
 
 def _leaky_grad(z):
     return np.where(z >= 0, 1.0, LEAKY_SLOPE)
 
 
-def _forward_cached(params, tm):
-    if tm.n != params.n:
-        raise PolicyError(f"traffic matrix n={tm.n} != policy n={params.n}")
-    x = _normalize_input(tm.demand)
-    patches = _im2col(x)                                   # (N^2, 9)
+def _log_probs(probs):
+    """log p where p > 0, else 0; no warning for probabilities that
+    underflowed to 0."""
+    logp = np.zeros_like(probs)
+    np.log(probs, out=logp, where=probs > 0)
+    return logp
+
+
+def _forward_batch(params, tms):
+    """Forward pass over a stack of B matrices; every array has the batch
+    (or batch x cell) as its leading axis."""
+    x = _stack_inputs(params, tms)
+    b = x.shape[0]
+    patches = _im2col(x)                                   # (B*N^2, 9)
     z1 = patches @ params.conv_w.reshape(KERNEL * KERNEL, params.width) + params.conv_b
-    a1 = _leaky(z1)                                        # (N^2, width)
-    flat = a1.ravel()                                      # (N^2 * width,)
-    z2 = flat @ params.fc1_w + params.fc1_b
+    a1 = _leaky(z1)                                        # (B*N^2, width)
+    flat = a1.reshape(b, -1)                               # (B, N^2 * width)
+    z2 = flat @ params.fc1_w + params.fc1_b                # (B, width)
     a2 = _leaky(z2)
-    logits = a2 @ params.fc2_w + params.fc2_b
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    probs = e / e.sum()
-    return {"patches": patches, "z1": z1, "a1": a1, "flat": flat,
+    logits = a2 @ params.fc2_w + params.fc2_b              # (B, n_actions)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return {"patches": patches, "z1": z1, "flat": flat,
             "z2": z2, "a2": a2, "logits": logits, "probs": probs}
 
 
+def _forward_cached(params, tm):
+    """The forward cache of one matrix: a batch of one."""
+    return _forward_batch(params, [tm])
+
+
+def forward_batch(params, tms):
+    """The action distribution of each matrix in `tms`, from one pass."""
+    cache = _forward_batch(params, tms)
+    return [ActionDistribution(probs=p, logits=l)
+            for p, l in zip(cache["probs"], cache["logits"])]
+
+
 def forward(params, tm):
-    cache = _forward_cached(params, tm)
-    return ActionDistribution(probs=cache["probs"], logits=cache["logits"])
+    return forward_batch(params, [tm])[0]
 
 
 def sample_solution(dist, k, rng):
@@ -239,8 +267,46 @@ def solution_log_prob(dist, sol):
 
 def entropy(dist):
     p = dist.probs
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    return float(-np.sum(p * _log_probs(p)))
+
+
+def _backward_batch(params, cache, dlogits):
+    """Gradient of sum over b of dlogits[b] . logits[b], for the stack
+    that `cache` holds; each GEMM also sums over the batch. Raises on
+    non-finite values, naming the layer."""
+    grads = {"fc2_w": cache["a2"].T @ dlogits, "fc2_b": dlogits.sum(axis=0)}
+    dz2 = (dlogits @ params.fc2_w.T) * _leaky_grad(cache["z2"])
+    grads["fc1_w"] = cache["flat"].T @ dz2
+    grads["fc1_b"] = dz2.sum(axis=0)
+    dflat = dz2 @ params.fc1_w.T
+    dz1 = dflat.reshape(cache["z1"].shape) * _leaky_grad(cache["z1"])
+    grads["conv_w"] = (cache["patches"].T @ dz1).reshape(KERNEL, KERNEL, params.width)
+    grads["conv_b"] = dz1.sum(axis=0)
+
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise PolicyError(f"non-finite gradient in layer {name}")
+    return PolicyParams(params.n, params.width, **grads)
+
+
+def batch_gradients(params, tms, solutions, advantages, beta, scale=1.0):
+    """scale * sum over the batch of the ascent gradient of
+    advantage * log pi(sol) + beta * H(pi), for the b-th matrix, solution
+    and advantage; one forward and one backward pass over the whole batch.
+    """
+    cache = _forward_batch(params, tms)
+    probs = cache["probs"]
+    counts = np.zeros_like(probs)
+    k = np.empty((len(solutions), 1))
+    for row, sol in enumerate(solutions):
+        counts[row, list(sol.actions)] = 1.0
+        k[row] = len(sol.actions)
+    adv = np.asarray(advantages, dtype=float).reshape(-1, 1)
+    logp = _log_probs(probs)
+    h = -np.sum(probs * logp, axis=1, keepdims=True)
+    # d/dlogits of log pi(sol): counts - K * probs; of H: -probs*(logp + H)
+    dlogits = adv * (counts - k * probs) + beta * (-probs * (logp + h))
+    return _backward_batch(params, cache, scale * dlogits)
 
 
 def gradients(params, tm, sol, advantage, beta):
@@ -249,43 +315,12 @@ def gradients(params, tm, sol, advantage, beta):
     Returns a PolicyParams-shaped structure. Raises on non-finite
     intermediates, naming the layer.
     """
-    cache = _forward_cached(params, tm)
-    probs = cache["probs"]
-    n_act = probs.shape[0]
-    k = len(sol.actions)
-
-    counts = np.zeros(n_act)
-    counts[list(sol.actions)] = 1.0
-    logp = np.where(probs > 0, np.log(probs), 0.0)
-    h = float(-np.sum(probs * logp))
-    # d/dlogits of log pi(sol): counts - K * probs; of H: -probs*(logp + H)
-    dlogits = advantage * (counts - k * probs) + beta * (-probs * (logp + h))
-
-    grads = {}
-    grads["fc2_w"] = np.outer(cache["a2"], dlogits)
-    grads["fc2_b"] = dlogits
-    da2 = params.fc2_w @ dlogits
-    dz2 = da2 * _leaky_grad(cache["z2"])
-    grads["fc1_w"] = np.outer(cache["flat"], dz2)
-    grads["fc1_b"] = dz2
-    dflat = params.fc1_w @ dz2
-    dz1 = dflat.reshape(cache["a1"].shape) * _leaky_grad(cache["z1"])
-    grads["conv_w"] = (cache["patches"].T @ dz1).reshape(KERNEL, KERNEL, params.width)
-    grads["conv_b"] = dz1.sum(axis=0)
-
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise PolicyError(f"non-finite gradient in layer {name}")
-    return PolicyParams(params.n, params.width,
-                        grads["conv_w"], grads["conv_b"],
-                        grads["fc1_w"], grads["fc1_b"],
-                        grads["fc2_w"], grads["fc2_b"])
+    return batch_gradients(params, [tm], [sol], [advantage], beta)
 
 
 def selection_objective(params, tm, sol, advantage, beta):
     """The scalar the gradients climb; used by finite-difference checks."""
-    cache = _forward_cached(params, tm)
-    dist = ActionDistribution(probs=cache["probs"], logits=cache["logits"])
+    dist = forward(params, tm)
     return advantage * solution_log_prob(dist, sol) + beta * entropy(dist)
 
 

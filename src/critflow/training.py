@@ -1,10 +1,13 @@
 """Policy-gradient training of the flow selector.
 
-One iteration samples a batch of traffic-matrix states, draws one
-selection per state, scores each by 1/U from the rerouting LP, subtracts
-the per-state average-reward baseline, and applies the entropy-regularized
-log-probability gradient. One serial learner does all of this, and is
-bit-deterministic given the seed.
+One iteration samples a batch of traffic-matrix states, runs the policy
+once over the whole batch, draws one selection per state, scores each by
+1/U from the rerouting LP, subtracts the per-state average-reward
+baseline, and applies the entropy-regularized log-probability gradient,
+summed over the batch by one batched forward and backward pass. One
+serial learner does all of this, and is bit-deterministic given the
+seed. Each iteration logs the time of its phases and its reward-cache
+hits.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
-from .policy import (forward, gradients, init_params, sample_solution,
-                     save_checkpoint, zeros_like_params, entropy)
+from .policy import (batch_gradients, entropy, forward_batch, init_params,
+                     sample_solution, save_checkpoint)
+# No longer called here, but kept as names of this module: the benchmark's
+# tracer (bench/tracing.py) wraps them here, and their spans now read 0.
+from .policy import forward, gradients  # noqa: F401
 from .rerouting import solve_rerouting
 from .topology import flow_of_index
 
@@ -63,7 +69,7 @@ def learning_rate(config, iteration):
                config.alpha0 * config.decay_base ** (iteration // config.decay_every))
 
 
-@dataclass
+@dataclass(slots=True)  # the log keeps one per sample of the run
 class Experience:
     state_id: int
     solution: object       # policy.Solution
@@ -78,7 +84,16 @@ class IterationRecord:
     mean_entropy: float
     alpha: float
     wall_ms: float
+    forward_ms: float = 0.0   # drawing the batch, and its one forward pass
+    sample_ms: float = 0.0    # drawing the selections
+    reward_ms: float = 0.0    # rewards, through the cache
+    update_ms: float = 0.0    # the batched update, and the step it takes
+    cache_hits: int = 0       # samples whose reward was already cached
     batch: list = field(default_factory=list, repr=False)
+
+
+_CSV_COLUMNS = ("iteration", "mean_reward", "mean_entropy", "alpha", "wall_ms",
+                "forward_ms", "sample_ms", "reward_ms", "update_ms", "cache_hits")
 
 
 @dataclass
@@ -88,10 +103,9 @@ class TrainingLog:
     def write_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["iteration", "mean_reward", "mean_entropy", "alpha", "wall_ms"])
+            w.writerow(_CSV_COLUMNS)
             for r in self.records:
-                w.writerow([r.iteration, repr(r.mean_reward), repr(r.mean_entropy),
-                            repr(r.alpha), repr(r.wall_ms)])
+                w.writerow([repr(getattr(r, name)) for name in _CSV_COLUMNS])
 
 
 def compute_reward(topo, tm, solution, k=None, fractions=None):
@@ -125,6 +139,9 @@ class _RewardCache:
                                               solution, fractions=self.fractions)
         return self._cache[key]
 
+    def __len__(self):
+        return len(self._cache)
+
 
 def _usable_train_ids(dataset):
     ids = []
@@ -140,15 +157,11 @@ def _usable_train_ids(dataset):
 
 
 def _accumulate_update(params, matrices, experiences, alpha, beta):
-    """alpha * sum over the batch of (grad log pi * advantage + beta grad H)."""
-    delta = zeros_like_params(params)
-    dt = delta.tensors()
-    for exp in experiences:
-        g = gradients(params, matrices[exp.state_id], exp.solution,
-                      exp.advantage, beta)
-        for name, t in g.tensors().items():
-            dt[name] += alpha * t
-    return delta
+    """alpha * sum over the batch of (grad log pi * advantage + beta grad H),
+    from one batched forward and backward pass."""
+    return batch_gradients(params, [matrices[e.state_id] for e in experiences],
+                           [e.solution for e in experiences],
+                           [e.advantage for e in experiences], beta, scale=alpha)
 
 
 def _params_finite(params):
@@ -158,8 +171,9 @@ def _params_finite(params):
 def replay_update(params, experiences, matrices, config, iteration):
     """Recompute one iteration's parameter delta from logged experiences.
 
-    Matches the training-time accumulation order exactly, so
-    params + replay_update(...) reproduces the next checkpoint.
+    Runs the same batched update as training, over the experiences in
+    their logged order, so params + replay_update(...) reproduces the
+    next checkpoint bit for bit.
     """
     alpha = learning_rate(config, iteration)
     return _accumulate_update(params, matrices, experiences, alpha, config.beta)
@@ -183,18 +197,26 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         topo.node_count, width=config.width, seed=init_seed)
     rng = np.random.default_rng(sample_seed)
     v, visits = {}, {}
+    # One Solution per distinct draw, shared by every experience that
+    # repeats it: the log keeps every sample of the run, and on a small
+    # instance nearly every draw repeats an earlier one.
+    drawn = {}
     log = TrainingLog()
 
     for it in range(config.total_iterations):
         t0 = time.perf_counter()
         alpha = learning_rate(config, it)
         batch_ids = [int(i) for i in rng.choice(train_ids, size=config.batch_size)]
+        dists = forward_batch(params, [matrices[sid] for sid in batch_ids])
+        t_forward = time.perf_counter()
+        solutions = [sample_solution(dist, config.k, rng) for dist in dists]
+        solutions = [drawn.setdefault((s.actions, s.filled_uniform), s) for s in solutions]
+        t_sample = time.perf_counter()
+        cached = len(cache)
+        rewards = [cache.reward(sid, sol) for sid, sol in zip(batch_ids, solutions)]
+        t_reward = time.perf_counter()
         experiences = []
-        entropies = []
-        for sid in batch_ids:
-            dist = forward(params, matrices[sid])
-            sol = sample_solution(dist, config.k, rng)
-            r = cache.reward(sid, sol)
+        for sid, sol, r in zip(batch_ids, solutions, rewards):
             if visits.get(sid, 0) > 0:
                 b = v[sid] / visits[sid]
             else:  # first visit (or repeat within the first batch): baseline 0
@@ -202,9 +224,9 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
                 v.setdefault(sid, 0.0)
                 visits.setdefault(sid, 0)
             experiences.append(Experience(sid, sol, r - b, r))
-            entropies.append(entropy(dist))
         delta = _accumulate_update(params, matrices, experiences, alpha, config.beta)
         new_params = params.add_scaled(delta, 1.0)
+        t_update = time.perf_counter()
         for exp in experiences:
             v[exp.state_id] += exp.reward
             visits[exp.state_id] += 1
@@ -217,9 +239,15 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.records.append(IterationRecord(
             iteration=it,
-            mean_reward=float(np.mean([e.reward for e in experiences])),
-            mean_entropy=float(np.mean(entropies)),
-            alpha=alpha, wall_ms=wall_ms, batch=experiences))
+            mean_reward=float(np.mean(rewards)),
+            mean_entropy=float(np.mean([entropy(d) for d in dists])),
+            alpha=alpha, wall_ms=wall_ms,
+            forward_ms=(t_forward - t0) * 1e3,
+            sample_ms=(t_sample - t_forward) * 1e3,
+            reward_ms=(t_reward - t_sample) * 1e3,
+            update_ms=(t_update - t_reward) * 1e3,
+            cache_hits=len(solutions) - (len(cache) - cached),
+            batch=experiences))
         if checkpoint_path and (it + 1) % checkpoint_every == 0:
             save_checkpoint(checkpoint_path, params, iteration=it + 1,
                             baseline_v=v, baseline_n=visits)

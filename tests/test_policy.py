@@ -287,3 +287,17 @@ def test_checkpoint_tensor_shapes_checked(tmp_path, cuts, named):
 def test_duplicate_actions_rejected():
     with pytest.raises(cf.PolicyError):
         cf.Solution(actions=(1, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturated_softmax_warns_nowhere():
+    params = cf.init_params(4, width=8, seed=2)
+    params.fc2_b[0] = 1e4
+    tm = random_tm(4, 3)
+    dist = cf.forward(params, tm)
+    assert dist.probs[0] == 1.0 and np.count_nonzero(dist.probs) == 1
+    assert cf.entropy(dist) == 0.0
+    sol = cf.Solution(actions=(0, 5))
+    g = cf.gradients(params, tm, sol, advantage=1.0, beta=0.1)
+    assert all(np.all(np.isfinite(t)) for t in g.tensors().values())
+    assert selection_objective(params, tm, sol, 1.0, 0.1) == float("-inf")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from critflow.training import _accumulate_update
-from conftest import tm_with, tiny_config
+from critflow import policy, training
+from critflow.policy import forward_batch, zeros_like_params
+from critflow.training import Experience, _accumulate_update
+from conftest import ABILENE, tm_with, tiny_config
 
 
 def test_reward_triangle_single_flow(triangle):
@@ -193,5 +195,109 @@ def test_log_csv_format(tiny_instance, tmp_path):
     path = tmp_path / "log.csv"
     log.write_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,mean_reward,mean_entropy,alpha,wall_ms"
+    assert lines[0] == ("iteration,mean_reward,mean_entropy,alpha,wall_ms,"
+                        "forward_ms,sample_ms,reward_ms,update_ms,cache_hits")
     assert len(lines) == 4
+
+
+def test_phase_times_within_wall_and_cache_hits_count_new_entries(tiny_instance,
+                                                                  monkeypatch):
+    topo, dataset = tiny_instance
+    calls = []
+    compute_reward = training.compute_reward
+
+    def counted_reward(*args, **kwargs):
+        calls.append(1)
+        return compute_reward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "compute_reward", counted_reward)
+    _, log = cf.train(topo, dataset, tiny_config(total_iterations=30, batch_size=8))
+    seen = set()
+    for rec in log.records:
+        phases = (rec.forward_ms, rec.sample_ms, rec.reward_ms, rec.update_ms)
+        assert all(t >= 0 for t in phases)
+        assert sum(phases) <= rec.wall_ms
+        new = {(e.state_id, frozenset(e.solution.actions)) for e in rec.batch} - seen
+        seen |= new
+        assert rec.cache_hits == len(rec.batch) - len(new)
+    assert sum(len(r.batch) - r.cache_hits for r in log.records) == len(calls)
+    assert log.records[0].cache_hits < 8 and log.records[-1].cache_hits > 0
+
+
+def _per_sample_update(params, matrices, experiences, alpha, beta):
+    """The update as a loop over the samples: alpha * sum of gradients(...)."""
+    delta = zeros_like_params(params)
+    for exp in experiences:
+        g = cf.gradients(params, matrices[exp.state_id], exp.solution,
+                         exp.advantage, beta).tensors()
+        for name, t in delta.tensors().items():
+            t += alpha * g[name]
+    return delta
+
+
+def _abilene_instance():
+    topo = cf.load_topology(ABILENE)
+    return topo, cf.generate_tms(topo, "exponential", 20, target_ecmp_util=0.9, seed=3)
+
+
+def _oracle_batch(params, matrices, k, size, seed):
+    """Experiences with a repeated state, a zero advantage and signed
+    advantages, each solution sampled from the policy."""
+    rng = np.random.default_rng(seed)
+    ids = [int(i) for i in rng.integers(len(matrices), size=size)]
+    ids[1] = ids[0]
+    experiences = []
+    for row, sid in enumerate(ids):
+        sol = cf.sample_solution(cf.forward(params, matrices[sid]), k, rng)
+        advantage = 0.0 if row == 2 else float(rng.normal())
+        experiences.append(Experience(sid, sol, advantage, 1.0))
+    return experiences
+
+
+@pytest.mark.parametrize("saturated", [False, True], ids=["plain", "saturated"])
+@pytest.mark.parametrize("instance", ["tiny", "abilene"])
+def test_batched_update_equals_sum_of_per_sample_gradients(tiny_instance, instance,
+                                                           saturated):
+    if instance == "tiny":
+        (topo, dataset), width, k, size = tiny_instance, 16, 2, 20
+        matrices = dataset.matrices
+    else:
+        (topo, matrices), width, k, size = _abilene_instance(), 128, 13, 20
+    params = cf.init_params(topo.node_count, width=width, seed=7)
+    if saturated:  # every other action's probability underflows to 0
+        params.fc2_b[3] = 800.0
+        assert np.count_nonzero(cf.forward(params, matrices[0]).probs) == 1
+    experiences = _oracle_batch(params, matrices, k, size, seed=8)
+    alpha, beta = 0.01, 0.1
+    got = _accumulate_update(params, matrices, experiences, alpha, beta).tensors()
+    want = _per_sample_update(params, matrices, experiences, alpha, beta).tensors()
+    for name, w in want.items():
+        assert np.max(np.abs(got[name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+def test_batched_forward_equals_per_matrix_forward():
+    topo, matrices = _abilene_instance()
+    params = cf.init_params(topo.node_count, width=128, seed=7)
+    batch = [matrices[i] for i in (4, 0, 4, 19, 7)]
+    for tm, dist in zip(batch, forward_batch(params, batch)):
+        assert np.max(np.abs(dist.probs - cf.forward(params, tm).probs)) <= 1e-14
+
+
+def test_one_batched_pass_per_phase_per_iteration(tiny_instance, monkeypatch):
+    topo, dataset = tiny_instance
+    calls = []
+    forward_pass, backward_pass = policy._forward_batch, policy._backward_batch
+
+    def counted_forward(params, tms):
+        calls.append(("forward", len(tms)))
+        return forward_pass(params, tms)
+
+    def counted_backward(params, cache, dlogits):
+        calls.append(("backward", len(dlogits)))
+        return backward_pass(params, cache, dlogits)
+
+    monkeypatch.setattr(policy, "_forward_batch", counted_forward)
+    monkeypatch.setattr(policy, "_backward_batch", counted_backward)
+    cf.train(topo, dataset, tiny_config(total_iterations=2, batch_size=7))
+    # per iteration: sampling's forward, then the update's forward and backward
+    assert calls == [("forward", 7), ("forward", 7), ("backward", 7)] * 2
