@@ -3,8 +3,10 @@
 A single hot flow on the triangle gets split across its two paths,
 halving the worst link load; freeing every flow reaches the same point
 here. The LP is over paths: it starts from the flow's shortest path and
-adds the detour once the link duals price it below zero. Also dumps that
-final LP in interchange format for external solvers.
+adds the detour once the link duals price it below zero. Every round
+starts from a feasible basis (a crash basis, then the last round's), so
+phase 1 takes no pivots. Also dumps that final LP in interchange format
+for external solvers.
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ for e, ratio in enumerate(sol.sigma[(0, 2)]):
     if ratio > 1e-9:
         lk = triangle.links[e]
         print(f"  {ratio:.0%} of the demand on link {lk.src}->{lk.dst}")
+for i, (phase1, phase2) in enumerate(sol.round_pivots):
+    print(f"  LP round {i}: {phase1} phase-1 and {phase2} phase-2 pivots")
 print("paths the LP ended with (node sequences):")
 for path in sol.paths[(0, 2)]:
     print("  " + "->".join(str(triangle.links[e].src) for e in path) + "->2")

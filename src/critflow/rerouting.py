@@ -24,6 +24,14 @@ zero joins the LP. No such path left means the LP over the paths in hand
 is optimal over all paths. A flow's split ratio on a link (`sigma`) is
 the sum of its paths' shares through that link, so it carries no cycle.
 
+No round needs a phase 1. The first LP starts from a crash basis (Bixby
+1992): every flow on its seed path, U at the seed routing's max
+utilization, basic in that link's capacity row, and the slacks of the
+other capacity rows. Each later round starts from the previous round's
+optimal basis, carried over by column key (U, flow and path, slack row):
+the new paths enter nonbasic at 0, so that basis stays primal feasible.
+Nothing is kept from one call to the next.
+
 Also here: the all-flows optimum, the network delay proxy
 sum(load / (capacity - load)), and its minimizer over all routings via
 Frank-Wolfe. With zero background, flows that share a destination can
@@ -64,6 +72,8 @@ class ReroutingSolution:
     objective: float       # LP objective (U + eps * sum sigma)
     link_loads: LinkLoads
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
+    # (phase-1, phase-2) pivots of each column-generation round's LP
+    round_pivots: list = field(default_factory=list)
 
 
 def default_epsilon(topo, k):
@@ -149,8 +159,13 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     demand = np.array([tm.demand[s, d] for s, d in flows])
     inv_cap = 1.0 / topo.capacity
     paths = {f: [_cheapest_path(topo, *f, topo.cost)[0]] for f in flows}
+    keys = _column_keys(flows, paths)
+    basis = _crash_basis(topo, flows, paths, demand, bg)
+    round_pivots = []
     while True:
-        sol = solve_lp(build_path_lp(topo, tm, flows, bg, paths, epsilon))
+        sol = solve_lp(build_path_lp(topo, tm, flows, bg, paths, epsilon),
+                       basis=basis)
+        round_pivots.append((sol.phase1_iterations, sol.phase2_iterations))
         y, mu = sol.duals[:m], sol.duals[m:]
         added = False
         for fi, f in enumerate(flows):
@@ -164,6 +179,10 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
                 added = True
         if not added:
             break
+        # the new columns enter nonbasic at 0: the optimal basis stays feasible
+        new_keys = _column_keys(flows, paths)
+        basis = _carry_basis(sol.basis, keys, new_keys)
+        keys = new_keys
     sigma = {}
     load = bg.copy()
     j = 1
@@ -177,7 +196,38 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     loads = LinkLoads.from_load(load, topo.capacity)
     return ReroutingSolution(sigma=sigma, u=loads.max_utilization,
                              objective=sol.objective, link_loads=loads,
-                             paths=paths)
+                             paths=paths, round_pivots=round_pivots)
+
+
+def _column_keys(flows, paths):
+    """The path LP's columns by key: "U", then (flow, path) in LP order."""
+    return ["U"] + [(f, p) for f in flows for p in paths[f]]
+
+
+def _crash_basis(topo, flows, paths, demand, bg):
+    """A feasible starting basis of the first path LP (one seed path per
+    flow): every flow on its seed path, U basic in the capacity row of the
+    most utilized link (the lowest row on ties) and the slacks of every
+    other capacity row, which hold U minus their link's utilization."""
+    m = topo.link_count
+    load = bg.copy()
+    for fi, f in enumerate(flows):
+        load[list(paths[f][0])] += demand[fi]
+    k = len(flows)
+    # slack of capacity row i is column 1 + k + i; flow fi's seed path is 1 + fi
+    basis = np.concatenate([1 + k + np.arange(m), 1 + np.arange(k)])
+    basis[int(np.argmax(load / topo.capacity))] = 0
+    return basis
+
+
+def _carry_basis(basis, old_keys, new_keys):
+    """The final basis of one round in the numbering of the next round's
+    LP: a path joining an earlier flow's pool shifts the later columns and
+    the slacks (numbered after the columns)."""
+    where = {key: j for j, key in enumerate(new_keys)}
+    n_old, n_new = len(old_keys), len(new_keys)
+    return np.array([where[old_keys[j]] if j < n_old else n_new + j - n_old
+                     for j in basis])
 
 
 def build_optimum_lp(topo, tm):

@@ -13,6 +13,14 @@ The problem form is
     subject to  A x (<= | >= | =) b   row-wise
                 lower <= x <= upper   (upper may be +inf)
 
+A solve may start from a given basis: when it is nonsingular and
+primal feasible with every nonbasic variable at its lower bound, phase 2
+starts from it with no artificials (a warm start, as between rounds of
+column generation); otherwise phase 1 first drives the artificials of the
+slack/artificial basis to zero. Each solution counts its pivots per
+phase, its degenerate pivots and refreshes of B^-1, says whether Bland's
+rule fired, and reports its largest row residual.
+
 Desk-scale only: the basis inverse is kept as a dense matrix, refreshed
 periodically to bound drift.
 """
@@ -29,6 +37,8 @@ DEGENERATE_STEP_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
 BLAND_AFTER_DEGENERATE = 1000
 REFRESH_EVERY = 500
+# a starting basis whose B @ B^-1 misses the identity by more is singular
+SINGULAR_TOL = 1e-9
 
 
 class LpError(Exception):
@@ -95,15 +105,36 @@ class LpSolution:
     objective: float
     iterations: int = 0
     duals: np.ndarray = None  # (m,) row duals c_B B^-1 of the final basis
+    # (m,) final basis, one column per row: j < n is structural column j
+    # and n + i the slack of row i; None while an artificial stays basic
+    # (a redundant '=' row)
+    basis: np.ndarray = None
+    phase1_iterations: int = 0
+    phase2_iterations: int = 0
+    degenerate_pivots: int = 0    # pivots and bound flips with step <= DEGENERATE_STEP_TOL
+    used_bland: bool = False      # the anti-cycling fallback fired
+    refreshes: int = 0            # rebuilds of B^-1 from scratch after the first inversion
+    max_residual: float = 0.0     # largest row violation of the returned x
 
 
-def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL):
+def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
     """Solve to an optimal basic feasible solution.
+
+    With `basis` (one column per row, numbered as in LpSolution.basis)
+    and every nonbasic variable at its lower bound, B is inverted once;
+    if it is nonsingular and its basic values lie within their bounds to
+    the scaled feasibility tolerance, phase 2 starts there, with no
+    artificials. A singular or infeasible basis, or none, takes the
+    two-phase path from the slack/artificial basis. A basis of the wrong
+    length, with an index out of range or with the slack of an '=' row
+    raises ValueError.
 
     The row duals y = c_B B^-1 of the final basis come back as `duals`:
     y <= 0 on '<=' rows and y >= 0 on '>=' rows (within `tol`), and every
     column's reduced cost c_j - y @ A[:, j] is >= -tol unless the column
-    sits at a finite upper bound.
+    sits at a finite upper bound. The solution also counts the pivots of
+    each phase, the degenerate ones, whether Bland's rule took over and
+    the refreshes of B^-1, and reports the largest row residual.
 
     Raises LpInfeasibleError / LpUnboundedError / LpIterationLimitError.
     """
@@ -111,55 +142,40 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL):
     lower, upper = problem.lower, problem.upper
 
     # shift lower bounds to 0: x = lower + y, 0 <= y <= u
-    finite_lo = np.where(np.isfinite(lower), lower, 0.0)
     if np.any(~np.isfinite(lower)):
         raise ValueError("free (lower=-inf) variables are not supported")
-    b1 = problem.b - problem.a @ finite_lo
-    u_struct = upper - finite_lo
+    b1 = problem.b - problem.a @ lower
+    rel = np.array(problem.rel)
+    sign = np.where(rel == "<=", 1.0, np.where(rel == ">=", -1.0, 0.0))
+    slack_rows = np.flatnonzero(sign)
+    n_real = n + slack_rows.size
+    slack_col = np.full(m, -1)  # internal column of each row's slack
+    slack_col[slack_rows] = n + np.arange(slack_rows.size)
+    u_real = np.concatenate([upper - lower, np.full(slack_rows.size, np.inf)])
+    feas_tol = FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b1), initial=0.0)))
 
-    # append slack/surplus columns
-    cols = [problem.a]
-    u_extra = []
-    slack_of_row = {}
-    for i, r in enumerate(problem.rel):
-        if r == "=":
-            continue
-        col = np.zeros((m, 1))
-        col[i, 0] = 1.0 if r == "<=" else -1.0
-        slack_of_row[i] = n + len(u_extra)
-        cols.append(col)
-        u_extra.append(np.inf)
-    a2 = np.hstack(cols)
-    u = np.concatenate([u_struct, np.array(u_extra)])
-    n_real = a2.shape[1]
-
-    # artificial columns where no slack can start feasible
-    art_cols = []
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        r = problem.rel[i]
-        si = slack_of_row.get(i)
-        if si is not None and ((r == "<=" and b1[i] >= 0) or (r == ">=" and b1[i] <= 0)):
-            basis[i] = si
-        else:
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0 if b1[i] >= 0 else -1.0
-            basis[i] = n_real + len(art_cols)
-            art_cols.append(col)
-    n_art = len(art_cols)
-    if n_art:
-        a2 = np.hstack([a2] + art_cols)
-        u = np.concatenate([u, np.full(n_art, np.inf)])
-    n_total = a2.shape[1]
-
+    state = None
+    if basis is not None:
+        warm = _internal_basis(basis, n, m, slack_col)
+        state = _warm_state(_with_unit_columns(problem.a, slack_rows, sign),
+                            b1, u_real, warm, feas_tol)
+    if state is None:
+        # the slack starts basic where it is feasible, else an artificial
+        slack_ok = ((sign > 0) & (b1 >= 0)) | ((sign < 0) & (b1 <= 0))
+        art_rows = np.flatnonzero(~slack_ok)
+        a2 = _with_unit_columns(problem.a, slack_rows, sign, art_rows,
+                                np.where(b1[art_rows] >= 0, 1.0, -1.0))
+        start = slack_col.copy()
+        start[art_rows] = n_real + np.arange(art_rows.size)
+        u = np.concatenate([u_real, np.full(art_rows.size, np.inf)])
+        state = _SimplexState(a2=a2, b=b1, u=u, basis=start,
+                              n_total=a2.shape[1], m=m)
+        state.refresh()
+    n_total = state.n_total
     if max_iters is None:
         max_iters = max(5000, 60 * (m + n_total))
 
-    state = _SimplexState(a2=a2, b=b1, u=u, basis=basis, n_total=n_total, m=m)
-    state.refresh()
-
-    feas_tol = FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b1), initial=0.0)))
-    if n_art:
+    if n_total > n_real:
         c1 = np.zeros(n_total)
         c1[n_real:] = 1.0
         _run(state, c1, allowed_up_to=n_total, max_iters=max_iters, tol=tol,
@@ -169,22 +185,78 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL):
                 f"infeasible (phase-1 residual {state.objective(c1):.3e})")
         _drive_out_artificials(state, n_real)
         state.u[n_real:] = 0.0  # artificials are fixed at zero from here on
+    phase1_iterations = state.iterations
 
     c2 = np.concatenate([problem.c, np.zeros(n_total - n)])
     _run(state, c2, allowed_up_to=n_real, max_iters=max_iters, tol=tol, phase=2)
 
     y = state.values()
-    x = finite_lo + y[:n]
+    x = lower + y[:n]
     x = np.clip(x, lower, upper)  # shave solver-tolerance dust off the bounds
     resid = problem.a @ x - problem.b
-    for i, r in enumerate(problem.rel):
-        ok = (abs(resid[i]) <= feas_tol if r == "=" else
-              resid[i] <= feas_tol if r == "<=" else resid[i] >= -feas_tol)
-        if not ok:
-            raise LpError(f"solution violates row {i} by {resid[i]:.3e}")
+    violation = np.where(sign > 0, resid, np.where(sign < 0, -resid, np.abs(resid)))
+    bad = np.flatnonzero(violation > feas_tol)
+    if bad.size:
+        raise LpError(f"solution violates row {bad[0]} by {resid[bad[0]]:.3e}")
+    final = None
+    if np.all(state.basis < n_real):
+        final = state.basis.copy()
+        slack = final >= n
+        final[slack] = n + slack_rows[final[slack] - n]
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=state.iterations,
-                      duals=c2[state.basis] @ state.binv)
+                      duals=c2[state.basis] @ state.binv,
+                      basis=final,
+                      phase1_iterations=phase1_iterations,
+                      phase2_iterations=state.iterations - phase1_iterations,
+                      degenerate_pivots=state.degenerate_pivots,
+                      used_bland=state.bland,
+                      refreshes=state.refreshes - 1,
+                      max_residual=max(float(np.max(violation, initial=0.0)), 0.0))
+
+
+def _with_unit_columns(a, slack_rows, sign, art_rows=(), art_sign=()):
+    """[A | slack/surplus columns | artificial columns], built in one array."""
+    m, n = a.shape
+    n_slack, n_art = len(slack_rows), len(art_rows)
+    a2 = np.zeros((m, n + n_slack + n_art))
+    a2[:, :n] = a
+    a2[slack_rows, n + np.arange(n_slack)] = sign[slack_rows]
+    a2[art_rows, n + n_slack + np.arange(n_art)] = art_sign
+    return a2
+
+
+def _internal_basis(basis, n, m, slack_col):
+    """A caller's basis (slack of row i numbered n + i) in the solver's
+    column numbering (slacks of the inequality rows only, in row order)."""
+    basis = np.asarray(basis)
+    if basis.shape != (m,) or (m and not np.issubdtype(basis.dtype, np.integer)):
+        raise ValueError(f"a basis needs one integer column index per row ({m})")
+    if np.any((basis < 0) | (basis >= n + m)):
+        raise ValueError(f"basis index out of range [0, {n + m})")
+    internal = basis.astype(int)
+    slack = internal >= n
+    internal[slack] = slack_col[internal[slack] - n]
+    if np.any(internal < 0):
+        raise ValueError("an '=' row has no slack to make basic")
+    return internal
+
+
+def _warm_state(a2, b, u, basis, feas_tol):
+    """The simplex state at `basis` with every nonbasic variable at 0, or
+    None if B is singular or a basic value leaves its bounds."""
+    state = _SimplexState(a2=a2, b=b, u=u, basis=basis, n_total=a2.shape[1],
+                          m=basis.size)
+    try:
+        state.refresh()
+    except np.linalg.LinAlgError:
+        return None
+    off = a2[:, basis] @ state.binv - np.eye(basis.size)
+    if not np.all(np.abs(off) <= SINGULAR_TOL):  # also catches nan
+        return None
+    if np.any(state.xb < -feas_tol) or np.any(state.xb > u[basis] + feas_tol):
+        return None
+    return state
 
 
 @dataclass
@@ -201,8 +273,10 @@ class _SimplexState:
     in_basis: np.ndarray = None
     iterations: int = 0
     pivots_since_refresh: int = 0
+    refreshes: int = 0
     bland: bool = False
     degenerate_run: int = 0
+    degenerate_pivots: int = 0
 
     def refresh(self):
         """(Re)compute the basis inverse and basic values from scratch."""
@@ -213,6 +287,7 @@ class _SimplexState:
         self.binv = np.linalg.inv(self.a2[:, self.basis])
         self.xb = self.binv @ self._rhs_effective()
         self.pivots_since_refresh = 0
+        self.refreshes += 1
 
     def _rhs_effective(self):
         nb_up = self.at_upper & ~self.in_basis
@@ -255,35 +330,32 @@ def _run(state, c, allowed_up_to, max_iters, tol, phase):
         alpha = state.binv @ a2[:, j]
         delta = sigma * alpha  # basic values move by -t * delta
 
-        # ratio test: keep basics in [0, u_B], entering within [0, u_j]
+        # ratio test: keep basics in [0, u_B], entering within [0, u_j];
+        # the minimum ratio leaves, and among the rows within PIVOT_TOL of
+        # it the one with the smallest basic index
+        ub = u[state.basis]
+        down = delta > PIVOT_TOL
+        up = (delta < -PIVOT_TOL) & np.isfinite(ub)
+        ratio = np.full(state.m, np.inf)
+        ratio[down] = state.xb[down] / delta[down]
+        ratio[up] = (ub[up] - state.xb[up]) / -delta[up]
+        ratio[ratio < -1e-12] = 0.0
         t_best = u[j] if np.isfinite(u[j]) else np.inf
         leave_row = -1
         leave_to_upper = False
-        ub = u[state.basis]
-        for i in range(state.m):
-            di = delta[i]
-            if di > PIVOT_TOL:
-                t_i = state.xb[i] / di
-                hit_upper = False
-            elif di < -PIVOT_TOL and np.isfinite(ub[i]):
-                t_i = (ub[i] - state.xb[i]) / (-di)
-                hit_upper = True
-            else:
-                continue
-            if t_i < -1e-12:
-                t_i = 0.0
-            if (t_i < t_best - PIVOT_TOL
-                    or (t_i < t_best + PIVOT_TOL and leave_row >= 0
-                        and state.basis[i] < state.basis[leave_row])):
-                t_best = t_i
-                leave_row = i
-                leave_to_upper = hit_upper
+        t_min = ratio.min(initial=np.inf)
+        if t_min < t_best - PIVOT_TOL:
+            ties = np.flatnonzero(ratio < t_min + PIVOT_TOL)
+            leave_row = int(ties[np.argmin(state.basis[ties])])
+            t_best = ratio[leave_row]
+            leave_to_upper = bool(up[leave_row])
         if not np.isfinite(t_best):
             raise LpUnboundedError(f"unbounded in phase {phase}")
 
         t = max(t_best, 0.0)
         state.iterations += 1
         if t <= DEGENERATE_STEP_TOL:
+            state.degenerate_pivots += 1
             state.degenerate_run += 1
             if state.degenerate_run >= BLAND_AFTER_DEGENERATE:
                 state.bland = True

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import critflow as cf
+from critflow import rerouting
 from critflow.rerouting import build_optimum_lp, build_path_lp
+from critflow.simplex import solve_lp
 from conftest import ABILENE, tm_with
 from oracles import (build_rerouting_lp, check_dual_certificate, edge_form_u,
                      highs_min, positive_cycle, simple_paths)
@@ -269,17 +271,25 @@ def test_every_flow_over_zero_background_equals_optimum():
     assert sol.u == pytest.approx(u_opt, rel=1e-9, abs=0.0)
 
 
+def _ebone_sized():
+    return cf.infer_capacities_from_costs(cf.random_topology(23, 14, seed=3), 1000.0)
+
+
 def test_ebone_sized_reward_matches_highs():
     pytest.importorskip("scipy")
-    topo = cf.infer_capacities_from_costs(cf.random_topology(23, 14, seed=3), 1000.0)
-    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=0)[0]
+    topo = _ebone_sized()
     fractions = cf.compute_ecmp_fractions(topo)
-    flows = cf.top_k_critical(topo, tm, 51, fractions=fractions).flows
-    actions = [cf.flow_index(s, d, topo.node_count) for s, d in flows]
-    reward = cf.compute_reward(topo, tm, actions, fractions=fractions)
-    bg = cf.ecmp_link_loads(topo, tm, fractions, exclude=flows)
-    u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
-    assert reward == pytest.approx(1.0 / u_highs, rel=1e-7, abs=0.0)
+    cases = []
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=0)[0]
+    cases.append((tm, cf.top_k_critical(topo, tm, 51, fractions=fractions).flows))
+    for seed, tm in enumerate(cf.generate_tms(topo, "exponential", 3, 0.9, seed=1)):
+        cases.append((tm, cf.random_k(len(topo.flows()), 51, seed, n=topo.node_count).flows))
+    for tm, flows in cases:
+        actions = [cf.flow_index(s, d, topo.node_count) for s, d in flows]
+        reward = cf.compute_reward(topo, tm, actions, fractions=fractions)
+        bg = cf.ecmp_link_loads(topo, tm, fractions, exclude=flows)
+        u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
+        assert reward == pytest.approx(1.0 / u_highs, rel=1e-7, abs=0.0)
 
 
 def test_tie_break_honoured_at_abilene_scale():
@@ -334,3 +344,68 @@ def test_dual_certificate_rejects_wrong_duals():
         with pytest.raises(AssertionError):
             check_dual_certificate(problem, cf.LpSolution(x=good.x, objective=good.objective,
                                                           duals=duals))
+
+
+def _reward_cases():
+    topo = cf.load_topology(ABILENE)
+    fractions = cf.compute_ecmp_fractions(topo)
+    n_flows = len(topo.flows())
+    for i, tm in enumerate(cf.generate_tms(topo, "exponential", 20, 0.9, seed=3)):
+        yield topo, tm, cf.top_k_critical(topo, tm, 13, fractions=fractions).flows
+        yield topo, tm, cf.random_k(n_flows, 13, i, n=topo.node_count).flows
+    topo = _ebone_sized()
+    fractions = cf.compute_ecmp_fractions(topo)
+    for tm in cf.generate_tms(topo, "exponential", 3, 0.9, seed=3):
+        yield topo, tm, cf.top_k_critical(topo, tm, 51, fractions=fractions).flows
+
+
+def test_no_phase_one_in_any_round(monkeypatch):
+    solved = []  # every LP solve_rerouting makes, as solved
+
+    def record(*args, **kwargs):
+        solved.append(solve_lp(*args, **kwargs))
+        return solved[-1]
+    monkeypatch.setattr(rerouting, "solve_lp", record)
+    rounds = 0
+    for topo, tm, flows in _reward_cases():
+        solved.clear()
+        sol = cf.solve_rerouting(topo, tm, flows, background_for(topo, tm, flows))
+        assert [s.phase1_iterations for s in solved] == [0] * len(solved)
+        assert sol.round_pivots == [(0, s.phase2_iterations) for s in solved]
+        rounds += len(solved)
+    assert rounds > 2 * 43  # column generation ran past its first round
+
+
+def test_cold_path_lp_needs_phase_one_and_the_crash_basis_does_not():
+    topo, tm, flows, bg = _abilene_case(13)
+    flows = sorted(flows)
+    paths = {f: [rerouting._cheapest_path(topo, *f, topo.cost)[0]] for f in flows}
+    problem = build_path_lp(topo, tm, flows, bg.load, paths,
+                            cf.default_epsilon(topo, len(flows)))
+    demand = np.array([tm.demand[f] for f in flows])
+    cold = solve_lp(problem)
+    warm = solve_lp(problem, basis=rerouting._crash_basis(topo, flows, paths, demand,
+                                                          bg.load))
+    assert cold.phase1_iterations > 0 and warm.phase1_iterations == 0
+    for s in (cold, warm):
+        assert s.phase1_iterations + s.phase2_iterations == s.iterations
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+def test_rerouting_keeps_no_state_between_calls():
+    topo = cf.load_topology(ABILENE)
+    tms = cf.generate_tms(topo, "exponential", 2, 0.9, seed=3)
+    cases = [(tm, cf.top_k_critical(topo, tm, 13).flows) for tm in tms]
+    cases.append((tms[0], cf.random_k(len(topo.flows()), 13, 0, n=topo.node_count).flows))
+
+    def solve(tm, flows):
+        return cf.solve_rerouting(topo, tm, flows, background_for(topo, tm, flows))
+    first = solve(*cases[0])
+    for other in cases[1:]:
+        solve(*other)
+        again = solve(*cases[0])
+        assert again.u == first.u and again.objective == first.objective
+        assert again.round_pivots == first.round_pivots
+        assert again.paths == first.paths
+        for f in first.sigma:
+            assert np.array_equal(again.sigma[f], first.sigma[f])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
+from critflow import simplex
 from oracles import lp_vertex_enumeration_oracle
 
 
@@ -107,3 +108,124 @@ def test_lp_text_dump(tmp_path):
     path = tmp_path / "p.lp"
     cf.dump_lp(p, path)
     assert path.read_text().startswith("\\ lp")
+
+
+def _cold_and_basis_cases(seed, count):
+    """(problem, cold solution) for random feasible LPs whose cold optimum
+    has every nonbasic structural at its lower bound, so that the final
+    basis alone fixes the vertex."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        p = _random_feasible_lp(rng, int(rng.integers(3, 7)), int(rng.integers(2, 6)))
+        cold = cf.solve_lp(p)
+        nonbasic = np.setdiff1d(np.arange(p.n_vars), cold.basis)
+        if not np.any(cold.x[nonbasic] == p.upper[nonbasic]):
+            cases.append((p, cold))
+    return cases
+
+
+def test_counters_split_iterations_by_phase():
+    rng = np.random.default_rng(31)
+    phase1 = 0
+    for _ in range(20):
+        p = _random_feasible_lp(rng, int(rng.integers(3, 7)), int(rng.integers(2, 6)))
+        s = cf.solve_lp(p)
+        assert s.phase1_iterations + s.phase2_iterations == s.iterations
+        assert 0 <= s.degenerate_pivots <= s.iterations
+        assert not s.used_bland and s.refreshes == 0
+        assert 0.0 <= s.max_residual <= 1e-7 * (1 + np.abs(p.b).max())
+        phase1 += s.phase1_iterations
+    assert phase1 > 0
+
+
+def test_refresh_and_bland_counters(monkeypatch):
+    p = _random_feasible_lp(np.random.default_rng(8), 6, 5)
+    tie = _tie_lp()
+    plain, plain_tie = cf.solve_lp(p), cf.solve_lp(tie)
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", 1)
+    monkeypatch.setattr(simplex, "BLAND_AFTER_DEGENERATE", 1)
+    s, s_tie = cf.solve_lp(p), cf.solve_lp(tie)
+    assert s.refreshes > 0 and s_tie.used_bland and not plain_tie.used_bland
+    assert s.objective == pytest.approx(plain.objective, abs=1e-12)
+    assert s_tie.objective == pytest.approx(plain_tie.objective, abs=1e-12)
+
+
+def test_resolve_from_final_basis_takes_no_pivots():
+    for p, cold in _cold_and_basis_cases(7, 12):
+        warm = cf.solve_lp(p, basis=cold.basis)
+        assert warm.iterations == 0 and warm.phase1_iterations == 0
+        assert np.array_equal(warm.basis, cold.basis)
+        assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def _assert_same_as_cold(p, cold, basis):
+    got = cf.solve_lp(p, basis=basis)
+    assert got.iterations == cold.iterations
+    assert got.phase1_iterations == cold.phase1_iterations
+    assert np.array_equal(got.x, cold.x) and got.objective == cold.objective
+
+
+def test_singular_basis_falls_back_to_two_phases():
+    for p, cold in _cold_and_basis_cases(11, 8):
+        basis = cold.basis.copy()
+        basis[-1] = basis[0]
+        _assert_same_as_cold(p, cold, basis)
+    # columns 0 and 1 are parallel in exact arithmetic but not in floating
+    # point (0.1 * 3 != 0.3), so B may invert to garbage without an error
+    p = cf.LpProblem(c=[-1.0, -2.0, -1.0], a=[[0.1, 0.3, 1.0], [0.3, 0.9, 0.0]],
+                     rel=["<=", "<="], b=[1.0, 3.0])
+    cold = cf.solve_lp(p)
+    assert cold.objective == pytest.approx(-10.0, abs=1e-12)
+    _assert_same_as_cold(p, cold, [0, 1])
+
+
+def test_infeasible_basis_falls_back_to_two_phases():
+    import itertools
+    tried = 0
+    for p, cold in _cold_and_basis_cases(12, 8):
+        n, m = p.n_vars, p.n_rows
+        # every column a basis may hold: structurals, then the slacks
+        a2 = np.hstack([p.a, np.diag([1.0 if r == "<=" else -1.0 for r in p.rel])])
+        upper = np.concatenate([p.upper, np.full(m, np.inf)])
+        allowed = [j for j in range(n + m) if j < n or p.rel[j - n] != "="]
+        for basis in itertools.combinations(allowed, m):
+            b = a2[:, basis]
+            if abs(np.linalg.det(b)) < 1e-3:
+                continue
+            xb = np.linalg.solve(b, p.b)
+            if np.all(xb >= 0) and np.all(xb <= upper[list(basis)]):
+                continue
+            _assert_same_as_cold(p, cold, list(basis))
+            tried += 1
+            break
+    assert tried == 8
+
+
+def test_malformed_basis_rejected():
+    p = cf.LpProblem(c=[1.0, 1.0], a=[[1.0, 1.0], [1.0, -1.0]], rel=["<=", "="],
+                     b=[4.0, 0.0])
+    for basis in ([0], [0, 1, 2], [0, -1], [0, 4], [2, 3], [0, 3], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            cf.solve_lp(p, basis=basis)
+    assert cf.solve_lp(p, basis=[2, 0]).phase1_iterations == 0  # slack of the '<=' row
+
+
+def _tie_lp():
+    # min -x - y s.t. x <= 0, 2x <= 0, y <= 1: x enters first with a
+    # degenerate tie between the slacks of rows 0 (index 2) and 1 (index 3)
+    return cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]],
+                        rel=["<=", "<=", "<="], b=[0.0, 0.0, 1.0])
+
+
+def test_ratio_tie_leaves_smallest_basic_index():
+    p = _tie_lp()
+    cold = cf.solve_lp(p)
+    assert list(cold.basis) == [0, 3, 1]
+    # basis positions in another order: the tie still goes by index, not row
+    warm = cf.solve_lp(p, basis=[3, 2, 4])
+    assert list(warm.basis) == [3, 0, 1]
+    for s in (cold, warm):
+        assert s.objective == pytest.approx(-1.0, abs=1e-12)
+        assert (s.phase1_iterations, s.phase2_iterations, s.degenerate_pivots) == (0, 2, 1)
