@@ -34,18 +34,10 @@ Nothing is kept from one call to the next.
 
 Also here: the all-flows optimum, the network delay proxy
 sum(load / (capacity - load)), and its minimizer over all routings via
-Frank-Wolfe. With zero background, flows that share a destination can
-share one commodity, so the optimum is a smaller LP in link flows:
-
-    minimize    U
-    subject to  sum_d x[d,e] <= capacity_e * U
-                per destination d with demand, at every node i != d:
-                    outflow minus inflow of x[d] equals demand[i, d]
-                x >= 0,  U >= 0
-
-Frank-Wolfe starts from that LP's loads. It stops either on a small
-duality gap, which certifies the delay, or on a step that gains little,
-which does not (see solve_delay_optimal).
+Frank-Wolfe. The optimum is this same path LP over every flow with
+demand, over zero background. Frank-Wolfe starts from its loads. It
+stops either on a small duality gap, which certifies the delay, or on a
+step that gains little, which does not (see solve_delay_optimal).
 """
 
 from __future__ import annotations
@@ -230,45 +222,15 @@ def _carry_basis(basis, old_keys, new_keys):
                      for j in basis])
 
 
-def build_optimum_lp(topo, tm):
-    """Assemble the all-flows optimum; variable 0 is U, then one link flow
-    (in demand units) per (destination with demand, link), destinations in
-    increasing order. The conservation row at the destination itself is
-    implied by the others and left out."""
-    n, m = topo.node_count, topo.link_count
-    dests = [d for d in range(n) if np.any(tm.demand[:, d] > 0)]
-    inc = np.zeros((n, m))  # +1 where the link leaves the node, -1 where it enters
-    for e, lk in enumerate(topo.links):
-        inc[lk.src, e] = 1.0
-        inc[lk.dst, e] = -1.0
-    nv = 1 + len(dests) * m
-    a = np.zeros((m + len(dests) * (n - 1), nv))
-    a[:m, 0] = -topo.capacity
-    rhs = [np.zeros(m)]
-    for j, d in enumerate(dests):
-        cols = 1 + j * m + np.arange(m)
-        a[np.arange(m), cols] = 1.0
-        others = [i for i in range(n) if i != d]
-        a[m + j * (n - 1): m + (j + 1) * (n - 1), cols] = inc[others]
-        rhs.append(tm.demand[others, d])
-    c = np.zeros(nv)
-    c[0] = 1.0
-    return LpProblem(c=c, a=a, rel=["<="] * m + ["="] * (a.shape[0] - m),
-                     b=np.concatenate(rhs))
-
-
 def solve_optimal_all_flows(topo, tm):
-    """Explicit-routing optimum over all flows with zero background.
+    """Explicit-routing optimum over all flows with zero background: the
+    path LP of solve_rerouting over every flow with demand, so it starts
+    from a crash basis and runs no phase 1.
 
     Returns (u_opt, LinkLoads); u_opt is the loads' max utilization.
     """
-    m = topo.link_count
-    problem = build_optimum_lp(topo, tm)
-    load = np.zeros(m)
-    if problem.n_vars > 1:
-        x = solve_lp(problem).x
-        load = x[1:].reshape(-1, m).sum(axis=0)
-    loads = LinkLoads.from_load(load, topo.capacity)
+    flows = [f for f in topo.flows() if tm.demand[f] > 0]
+    loads = solve_rerouting(topo, tm, flows, np.zeros(topo.link_count)).link_loads
     return loads.max_utilization, loads
 
 
@@ -348,10 +310,10 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=500, tol=1e-5):
     (the gap then certifies the value to within `tol` of the minimum), a
     step that lowers the delay by less than relative `tol`, or `max_iters`
     steps. Only the first is a certificate: after the other two the value
-    can lie well above the minimum (up to about 0.35% on 8-node random
-    nets and 1.5% on the 5-node ring with chords at ECMP utilization
-    0.9). It is always the delay of a feasible routing, so never below
-    the minimum.
+    can lie well above the minimum (from the optimum's loads, up to about
+    0.55% on 8-node random nets and 0.95% on the 5-node ring with chords
+    at ECMP utilization 0.9, over 100 matrices each). It is always the
+    delay of a feasible routing, so never below the minimum.
 
     Returns (omega, LinkLoads).
     """

@@ -5,7 +5,9 @@ implementation: Floyd-Warshall + recursive splitting instead of Dijkstra +
 linear solve for ECMP; bisection over max-flow feasibility instead of the
 simplex for single-flow min-max routing; exhaustive vertex enumeration for
 small LPs; the edge form of the rerouting LP (one split ratio per flow and
-link, with conservation rows) instead of column generation over paths; a
+link, with conservation rows) instead of column generation over paths;
+the destination form of the all-flows optimum (one commodity per
+destination, in link flows) instead of the path LP over every flow; a
 dual certificate checked from the LP's own data instead of the solver's
 word; scipy's HiGHS where scipy is installed.
 """
@@ -244,6 +246,41 @@ def edge_form_u(topo, tm, critical, background_load, epsilon):
     load = np.array(background_load, dtype=float)
     for fi, (s, d) in enumerate(sorted(critical)):
         load += x[1 + fi * topo.link_count: 1 + (fi + 1) * topo.link_count] * tm.demand[s, d]
+    return LinkLoads.from_load(load, topo.capacity).max_utilization
+
+
+def build_optimum_lp(topo, tm):
+    """Assemble the all-flows optimum; variable 0 is U, then one link flow
+    (in demand units) per (destination with demand, link), destinations in
+    increasing order. The conservation row at the destination itself is
+    implied by the others and left out."""
+    n, m = topo.node_count, topo.link_count
+    dests = [d for d in range(n) if np.any(tm.demand[:, d] > 0)]
+    inc = np.zeros((n, m))  # +1 where the link leaves the node, -1 where it enters
+    for e, lk in enumerate(topo.links):
+        inc[lk.src, e] = 1.0
+        inc[lk.dst, e] = -1.0
+    nv = 1 + len(dests) * m
+    a = np.zeros((m + len(dests) * (n - 1), nv))
+    a[:m, 0] = -topo.capacity
+    rhs = [np.zeros(m)]
+    for j, d in enumerate(dests):
+        cols = 1 + j * m + np.arange(m)
+        a[np.arange(m), cols] = 1.0
+        others = [i for i in range(n) if i != d]
+        a[m + j * (n - 1): m + (j + 1) * (n - 1), cols] = inc[others]
+        rhs.append(tm.demand[others, d])
+    c = np.zeros(nv)
+    c[0] = 1.0
+    return LpProblem(c=c, a=a, rel=["<="] * m + ["="] * (a.shape[0] - m),
+                     b=np.concatenate(rhs))
+
+
+def destination_form_u(topo, tm):
+    """Max utilization of the destination-form optimum, read from its link
+    loads."""
+    x = solve_lp(build_optimum_lp(topo, tm)).x
+    load = x[1:].reshape(-1, topo.link_count).sum(axis=0)
     return LinkLoads.from_load(load, topo.capacity).max_utilization
 
 

@@ -3,11 +3,12 @@ import pytest
 
 import critflow as cf
 from critflow import rerouting
-from critflow.rerouting import build_optimum_lp, build_path_lp
+from critflow.rerouting import build_path_lp
 from critflow.simplex import solve_lp
 from conftest import ABILENE, tm_with
-from oracles import (build_rerouting_lp, check_dual_certificate, edge_form_u,
-                     highs_min, positive_cycle, simple_paths)
+from oracles import (build_optimum_lp, build_rerouting_lp, check_dual_certificate,
+                     destination_form_u, edge_form_u, highs_min, positive_cycle,
+                     simple_paths)
 
 
 def background_for(topo, tm, critical):
@@ -42,9 +43,7 @@ def test_diamond_single_flow_matches_ecmp(diamond):
 def test_all_flows_equals_optimal(ring5):
     tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=3)[0]
     u_opt, _ = cf.solve_optimal_all_flows(ring5, tm)
-    direct = cf.solve_rerouting(ring5, tm, ring5.flows(),
-                                np.zeros(ring5.link_count))
-    assert abs(direct.u - u_opt) <= 1e-7
+    assert u_opt == pytest.approx(destination_form_u(ring5, tm), rel=1e-9, abs=0.0)
 
 
 def test_optimal_bounded_by_ecmp(ring5):
@@ -63,12 +62,11 @@ def test_zero_tm_optimal_zero(ring5):
     assert np.all(loads.load == 0)
 
 
-def assert_optimum_matches_per_flow_lp(topo, tm):
-    """The per-destination optimum against the rerouting LP over every
-    flow with zero background, and its loads against U."""
+def assert_optimum_matches_destination_form(topo, tm):
+    """The optimum (the path LP over every flow with zero background)
+    against the destination-form oracle, and its loads against U."""
     u, loads = cf.solve_optimal_all_flows(topo, tm)
-    per_flow = cf.solve_rerouting(topo, tm, topo.flows(), np.zeros(topo.link_count))
-    assert u == pytest.approx(per_flow.u, rel=1e-9, abs=0.0)
+    assert u == pytest.approx(destination_form_u(topo, tm), rel=1e-9, abs=0.0)
     assert loads.max_utilization == u
     assert np.all(loads.load >= -1e-9)
     assert np.all(loads.load <= topo.capacity * u + 1e-9)
@@ -80,7 +78,7 @@ def test_destination_form_matches_per_flow_lp(n, model):
     for seed in range(3):
         topo = cf.random_topology(n, 2, seed=seed)
         tm = cf.generate_tms(topo, model, 1, 0.9, seed=seed)[0]
-        assert_optimum_matches_per_flow_lp(topo, tm)
+        assert_optimum_matches_destination_form(topo, tm)
 
 
 def test_destination_form_with_zero_demand_destination():
@@ -88,22 +86,7 @@ def test_destination_form_with_zero_demand_destination():
     demand = cf.generate_tms(topo, "exponential", 1, 0.9, seed=4)[0].demand.copy()
     demand[:, 2] = 0.0
     demand[3, 1] = 0.0  # a zero entry in a destination that keeps demand
-    assert_optimum_matches_per_flow_lp(topo, cf.TrafficMatrix(5, demand))
-
-
-def test_optimum_lp_shapes():
-    from critflow.rerouting import build_optimum_lp
-    topo = cf.random_topology(8, 6, seed=3)  # 8 nodes, 28 links
-    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=0)[0]
-    problem = build_optimum_lp(topo, tm)
-    # 1 U + 8 destinations x 28 links; 28 capacity rows + 8 x 7 conservation
-    assert (problem.n_rows, problem.n_vars) == (84, 225)
-    demand = tm.demand.copy()
-    demand[:, 5] = 0.0
-    problem = build_optimum_lp(topo, cf.TrafficMatrix(8, demand))
-    assert (problem.n_rows, problem.n_vars) == (84 - 7, 225 - 28)
-    zero = build_optimum_lp(topo, cf.TrafficMatrix(8, np.zeros((8, 8))))
-    assert (zero.n_rows, zero.n_vars) == (28, 1)
+    assert_optimum_matches_destination_form(topo, cf.TrafficMatrix(5, demand))
 
 
 def test_selection_monotonicity(ring5):
@@ -266,9 +249,7 @@ def test_zero_demand_flow_terminates(ring5, epsilon):
 def test_every_flow_over_zero_background_equals_optimum():
     topo = cf.load_topology(ABILENE)
     tm = cf.generate_tms(topo, "uniform", 1, 0.9, seed=1)[0]
-    u_opt, _ = cf.solve_optimal_all_flows(topo, tm)
-    sol = cf.solve_rerouting(topo, tm, topo.flows(), np.zeros(topo.link_count))
-    assert sol.u == pytest.approx(u_opt, rel=1e-9, abs=0.0)
+    assert_optimum_matches_destination_form(topo, tm)
 
 
 def _ebone_sized():
@@ -290,6 +271,15 @@ def test_ebone_sized_reward_matches_highs():
         bg = cf.ecmp_link_loads(topo, tm, fractions, exclude=flows)
         u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
         assert reward == pytest.approx(1.0 / u_highs, rel=1e-7, abs=0.0)
+
+
+def test_ebone_sized_optimum_matches_highs():
+    pytest.importorskip("scipy")
+    topo = _ebone_sized()
+    for tm in cf.generate_tms(topo, "exponential", 2, 0.9, seed=3):
+        u_opt, _ = cf.solve_optimal_all_flows(topo, tm)
+        u_highs, _ = highs_min(build_optimum_lp(topo, tm))
+        assert u_opt == pytest.approx(u_highs, rel=1e-7, abs=0.0)
 
 
 def test_tie_break_honoured_at_abilene_scale():
@@ -324,6 +314,10 @@ def test_optimum_lp_duals_certify_optimality():
 
 def test_path_lp_duals_certify_optimality(ring5):
     cases = [_abilene_case(13)]
+    for topo in (cf.load_topology(ABILENE), cf.random_topology(8, 6, seed=3)):
+        tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=1)[0]
+        # the optimum's LP: every flow over zero background
+        cases.append((topo, tm, topo.flows(), background_for(topo, tm, topo.flows())))
     for seed in range(4):
         tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=seed)[0]
         flows = cf.top_k_critical(ring5, tm, 2 + seed).flows
@@ -353,6 +347,7 @@ def _reward_cases():
     for i, tm in enumerate(cf.generate_tms(topo, "exponential", 20, 0.9, seed=3)):
         yield topo, tm, cf.top_k_critical(topo, tm, 13, fractions=fractions).flows
         yield topo, tm, cf.random_k(n_flows, 13, i, n=topo.node_count).flows
+    yield topo, tm, topo.flows()  # the optimum's LP: no flow is left for the background
     topo = _ebone_sized()
     fractions = cf.compute_ecmp_fractions(topo)
     for tm in cf.generate_tms(topo, "exponential", 3, 0.9, seed=3):
