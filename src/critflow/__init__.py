@@ -33,8 +33,9 @@ from .selectors import (SelectionResult, top_k, top_k_critical, random_k,
 from .training import (TrainerConfig, Experience, TrainingLog, learning_rate,
                        compute_reward, train, replay_update,
                        TrainingError, DegenerateStateError)
-from .evaluation import (EvalRecord, eval_one, eval_suite, aggregate,
+from .evaluation import (EvalRecord, EvalTiming, eval_one, eval_suite, aggregate,
                          empirical_cdf, policy_selection, select,
-                         write_results_csv, write_cdf_csv, EvaluationError)
+                         write_results_csv, write_cdf_csv, write_timings_csv,
+                         EvaluationError)
 
 __version__ = "0.1.0"

@@ -288,11 +288,13 @@ def cmd_eval(opts):
         params, _, _, _ = load_checkpoint(opts["checkpoint"])
     test = dataset.test
     _maybe_dump_lp(opts, topo, test[0], k)
+    timings = []
     records, aggregates = evaluation.eval_suite(
         topo, test, methods, k, params=params,
-        include_delay=not opts["skip_delay"], seed=opts["seed"])
+        include_delay=not opts["skip_delay"], seed=opts["seed"], timings=timings)
     evaluation.write_results_csv(records, os.path.join(out_dir, "results.csv"))
     evaluation.write_cdf_csv(records, os.path.join(out_dir, "cdf.csv"))
+    evaluation.write_timings_csv(timings, os.path.join(out_dir, "timings.csv"))
     for (method, metric), (mean, std) in sorted(aggregates.items()):
         print(f"{method:16s} {metric:9s} mean {mean:.4f} std {std:.4f}")
     return 0

@@ -8,11 +8,16 @@ Three metrics per (traffic matrix, method):
 ECMP is modeled as the empty selection so every method flows through the
 same rerouting path. Policy selection at evaluation time is greedy: the K
 highest-probability actions.
+
+eval_suite can also time each matrix: one EvalTiming per oracle (the
+all-flows optimum, and the delay optimum when delay is on) and one per
+method (its selection, rerouting and metrics), for `timings.csv`.
 """
 
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +32,7 @@ from .topology import flow_of_index
 METHODS = ("ecmp", "policy", "top_k", "top_k_critical", "random")
 RESULT_FIELDS = ("tm_id", "method", "u_method", "u_optimal", "pr_u",
                  "omega_method", "omega_optimal", "pr_omega", "rd")
+TIMING_FIELDS = ("tm_id", "part", "ms")
 
 
 class EvaluationError(Exception):
@@ -44,6 +50,13 @@ class EvalRecord:
     omega_optimal: float = None
     pr_omega: float = None
     rd: float = 0.0
+
+
+@dataclass
+class EvalTiming:
+    tm_id: str
+    part: str      # "optimum", "delay_optimum" or a method name
+    ms: float
 
 
 def _ratio(optimal, achieved):
@@ -112,26 +125,39 @@ def select(method, topo, tm, k, params=None, fractions=None, seed=0):
 
 
 def eval_suite(topo, matrices, methods, k, params=None, include_delay=True,
-               seed=0):
+               seed=0, timings=None):
     """Evaluate every method on every matrix.
 
     Returns (records, aggregates) where aggregates maps
-    (method, metric) -> (mean, std).
+    (method, metric) -> (mean, std). When `timings` is a list, one
+    EvalTiming per oracle and per method of each matrix is appended to it.
     """
     if "policy" in methods and params is None:
         raise EvaluationError("policy method requires trained parameters")
     fractions = compute_ecmp_fractions(topo)
     records = []
+
+    def timed(tm, part, began):
+        if timings is not None:
+            timings.append(EvalTiming(tm.id, part, (time.perf_counter() - began) * 1e3))
+
     for tm in matrices:
+        began = time.perf_counter()
         u_opt, opt_loads = solve_optimal_all_flows(topo, tm)
-        d_opt = (solve_delay_optimal(topo, tm, start=opt_loads)[0]
-                 if include_delay else None)
+        timed(tm, "optimum", began)
+        d_opt = None
+        if include_delay:
+            began = time.perf_counter()
+            d_opt = solve_delay_optimal(topo, tm, start=opt_loads)[0]
+            timed(tm, "delay_optimum", began)
         for method in methods:
+            began = time.perf_counter()
             selection = select(method, topo, tm, k, params=params,
                                fractions=fractions, seed=seed)
             records.append(eval_one(topo, tm, selection, fractions=fractions,
                                     include_delay=include_delay,
                                     u_optimal=u_opt, delay_optimal=d_opt))
+            timed(tm, method, began)
     return records, aggregate(records)
 
 
@@ -181,3 +207,11 @@ def write_cdf_csv(records, path, metrics=("pr_u", "pr_omega", "rd")):
                 xs, fs = empirical_cdf(records, method, metric)
                 for x, f in zip(xs, fs):
                     w.writerow([method, metric, repr(float(x)), repr(float(f))])
+
+
+def write_timings_csv(timings, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(TIMING_FIELDS)
+        for t in timings:
+            w.writerow([t.tm_id, t.part, repr(float(t.ms))])

@@ -34,10 +34,16 @@ Nothing is kept from one call to the next.
 
 Also here: the all-flows optimum, the network delay proxy
 sum(load / (capacity - load)), and its minimizer over all routings via
-Frank-Wolfe. The optimum is this same path LP over every flow with
-demand, over zero background. Frank-Wolfe starts from its loads. It
-stops either on a small duality gap, which certifies the delay, or on a
-step that gains little, which does not (see solve_delay_optimal).
+Frank-Wolfe (the flow deviation method of Fratta, Gerla & Kleinrock
+1973). The optimum is this same path LP over every flow with demand, over
+zero background. Frank-Wolfe starts from its loads. Each step is
+vectorized: the all-or-nothing direction takes every node's next link
+toward every destination from min-plus squaring of the weight matrix
+(ties to the earlier out-link) and pushes all demands down those links
+hop by hop with bincount; the line search takes bracketed Newton steps on
+the delay's slope until the bracket is two adjacent floats. It stops
+either on a small duality gap, which certifies the delay, or on a step
+that gains little, which does not (see solve_delay_optimal).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecmp import LinkLoads, shortest_distances_to
+from .ecmp import LinkLoads
 from .simplex import REDUCED_COST_TOL, LpProblem, solve_lp
 
 CONSERVATION_TOL = 1e-7
@@ -244,9 +250,8 @@ def check_rerouting_feasibility(topo, tm, solution, background, tol=CONSERVATION
         assert np.all(ratios >= -tol) and np.all(ratios <= 1 + tol), \
             f"ratio bounds violated for flow ({s},{d})"
         net = np.zeros(topo.node_count)
-        for e, lk in enumerate(topo.links):
-            net[lk.dst] += ratios[e]
-            net[lk.src] -= ratios[e]
+        np.add.at(net, topo.link_dst, ratios)
+        np.add.at(net, topo.link_src, -ratios)
         want = np.zeros(topo.node_count)
         want[s], want[d] = -1.0, 1.0
         assert np.max(np.abs(net - want)) <= tol, \
@@ -268,33 +273,120 @@ def evaluate_delay(topo, loads):
     return float(np.sum(load / (cap - load)))
 
 
+TIE_TOL = 1e-15
+
+
+def _next_links(topo, weights):
+    """next_link[i, d]: the out-link of node i on its min-weight path to d
+    (-1 where i == d).
+
+    The distances to every destination come at once from min-plus squaring
+    of the one-hop weight matrix, dist[i, d] = min over k of
+    dist[i, k] + dist[k, d], repeated until it covers paths of N - 1 hops.
+    Node i then takes the out-link e that attains the least
+    weights[e] + dist[dst_e, d], column by column over
+    `topo.out_link_table`: the earlier out-link wins unless a later one is
+    lower by more than TIE_TOL. The table's padding repeats a node's first
+    out-link, so it never wins. The sums can round differently from a
+    Dijkstra's, which matters only where two out-links tie to within
+    rounding.
+    """
+    n = topo.node_count
+    table = topo.out_link_table
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    dist[topo.link_src, topo.link_dst] = weights
+    hops = 1
+    while hops < n - 1:
+        dist = (dist[:, :, None] + dist[None]).min(axis=1)
+        hops *= 2
+    via = weights[table][:, :, None] + dist[topo.link_dst[table]]
+    best, next_link = via[:, 0].copy(), np.repeat(table[:, :1], n, axis=1)
+    for j in range(1, table.shape[1]):
+        better = via[:, j] < best - TIE_TOL
+        np.copyto(best, via[:, j], where=better)
+        np.copyto(next_link, table[:, j:j + 1], where=better)
+    np.fill_diagonal(next_link, -1)
+    return next_link
+
+
 def _all_or_nothing(topo, demand, weights):
-    """Route every demand on a single min-weight path; aggregate link loads."""
+    """Route every demand on a single min-weight path; aggregate link loads.
+
+    All demands move together hop by hop down the next links of
+    _next_links, one pair of bincounts per hop, at most N - 1 hops. The
+    mass is an N x N array, flattened: cell i*N + d holds what sits at
+    node i bound for d, and moves to cell dst*N + d, or to the sink cell
+    N*N once dst is d.
+    """
     n, m = topo.node_count, topo.link_count
+    next_link = _next_links(topo, weights).reshape(-1)
+    dest = np.tile(np.arange(n), n)
+    head = topo.link_dst[next_link]
+    to_cell = np.where(head == dest, n * n, head * n + dest)
+    mass = np.array(demand, dtype=float).reshape(-1)
+    mass[::n + 1] = 0.0
     loads = np.zeros(m)
-    for d in range(n):
-        col = demand[:, d]
-        if not np.any(col > 0):
-            continue
-        dist = shortest_distances_to(topo, d, weights=weights)
-        next_link = np.full(n, -1, dtype=int)
-        for i in range(n):
-            if i == d:
-                continue
-            best_e, best_v = -1, np.inf
-            for e in topo.out_links[i]:
-                v = weights[e] + dist[topo.links[e].dst]
-                if v < best_v - 1e-15:
-                    best_v, best_e = v, e
-            next_link[i] = best_e
-        acc = col.copy()
-        for i in np.argsort(-dist, kind="stable"):
-            if i == d or acc[i] <= 0:
-                continue
-            e = next_link[i]
-            loads[e] += acc[i]
-            acc[topo.links[e].dst] += acc[i]
+    for _ in range(n - 1):
+        live = np.flatnonzero(mass > 0)
+        if live.size == 0:
+            break
+        amount = mass[live]
+        loads += np.bincount(next_link[live], weights=amount, minlength=m)
+        mass = np.bincount(to_cell[live], weights=amount, minlength=n * n + 1)[:-1]
     return loads
+
+
+def _line_search(load, step_dir, cap, t_ub):
+    """Frank-Wolfe's step length along step_dir (s) from load (l): t_ub
+    when the delay still falls there, else the largest float t in
+    [0, t_ub) with dphi(t) <= 0 < dphi(the next float after t), where
+
+        dphi(t)  = sum s c / (c - l - t s)^2
+        dphi'(t) = sum 2 s^2 c / (c - l - t s)^3
+
+    is the delay's slope along the step; it rises with t (0 if dphi(0) > 0
+    already). The search keeps a bracket lo < hi with
+    dphi(lo) <= 0 < dphi(hi), from [0, t_ub], and ends when lo and hi are
+    adjacent floats. Each point is a Newton step from the last one, scaled
+    by `reach`: Newton tends to close in on the root from one side, so
+    reach doubles each time a point lands on the same side as the last,
+    until one lands across. A step shorter than reach float spacings is
+    lengthened to that, and a point outside the bracket is replaced by its
+    midpoint.
+    """
+    sc, s2 = step_dir * cap, 2.0 * step_dir
+
+    def slope(t):
+        gap = cap - (load + t * step_dir)
+        g = sc / gap ** 2
+        return float(g.sum()), float(g @ (s2 / gap))
+
+    f, df = slope(t_ub)
+    if f <= 0:
+        return t_ub
+    t, above, reach = 0.0, False, 1.0
+    f, df = slope(t)
+    if f > 0:
+        return 0.0    # no step lowers the delay
+    lo, hi = 0.0, t_ub
+    while np.nextafter(lo, hi) < hi:
+        step = -reach * f / df
+        shortest = reach * float(np.spacing(t))
+        if abs(step) < shortest:
+            step = shortest if f <= 0 else -shortest
+        x = t + step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f, df = slope(x)
+        reach = 2.0 * reach if (f > 0) == above else 1.0
+        above = f > 0
+        if above:
+            hi = x
+        else:
+            lo = x
+        t = x
+    return lo
 
 
 def solve_delay_optimal(topo, tm, start=None, max_iters=500, tol=1e-5):
@@ -304,7 +396,11 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=500, tol=1e-5):
     (solved here when not given), which must leave every link strictly
     under capacity, else the instance is overloaded. Each step routes
     everything on shortest paths under the marginal-delay weights
-    c/(c-l)^2 and line-searches toward that corner.
+    c/(c-l)^2 and line-searches toward that corner. Both are a few numpy
+    operations: _all_or_nothing finds every node's next link toward every
+    destination at once (ties go to the earlier out-link) and pushes all
+    demands hop by hop; _line_search runs bracketed Newton steps on the
+    delay's slope down to adjacent floats.
 
     The loop stops at the first of: a duality gap within relative `tol`
     (the gap then certifies the value to within `tol` of the minimum), a
@@ -343,21 +439,7 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=500, tol=1e-5):
         else:
             t_ub = 1.0
 
-        def dphi(t):
-            lt = load + t * step_dir
-            return float(np.sum(step_dir * cap / (cap - lt) ** 2))
-
-        if dphi(t_ub) <= 0:
-            t = t_ub
-        else:
-            lo_t, hi_t = 0.0, t_ub
-            for _ in range(80):
-                mid = 0.5 * (lo_t + hi_t)
-                if dphi(mid) <= 0:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-            t = lo_t
+        t = _line_search(load, step_dir, cap, t_ub)
         if t <= 0:
             break
         load = load + t * step_dir

@@ -59,8 +59,13 @@ class Topology:
     # derived, filled in __post_init__
     capacity: np.ndarray = field(init=False, repr=False)
     cost: np.ndarray = field(init=False, repr=False)
+    link_src: np.ndarray = field(init=False, repr=False)
+    link_dst: np.ndarray = field(init=False, repr=False)
     link_index: dict[tuple[int, int], int] = field(init=False, repr=False)
     out_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # (N, max out-degree): row i holds out_links[i], padded by repeating
+    # its first link
+    out_link_table: np.ndarray = field(init=False, repr=False)
     in_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -68,6 +73,8 @@ class Topology:
         _validate(self.node_count, self.links)
         self.capacity = np.array([lk.capacity for lk in self.links], dtype=float)
         self.cost = np.array([lk.cost for lk in self.links], dtype=float)
+        self.link_src = np.array([lk.src for lk in self.links], dtype=int)
+        self.link_dst = np.array([lk.dst for lk in self.links], dtype=int)
         self.link_index = {(lk.src, lk.dst): i for i, lk in enumerate(self.links)}
         out = [[] for _ in range(self.node_count)]
         inc = [[] for _ in range(self.node_count)]
@@ -75,6 +82,8 @@ class Topology:
             out[lk.src].append(i)
             inc[lk.dst].append(i)
         self.out_links = tuple(tuple(v) for v in out)
+        width = max(len(v) for v in out)
+        self.out_link_table = np.array([v + v[:1] * (width - len(v)) for v in out])
         self.in_links = tuple(tuple(v) for v in inc)
 
     @property

@@ -9,7 +9,10 @@ link, with conservation rows) instead of column generation over paths;
 the destination form of the all-flows optimum (one commodity per
 destination, in link flows) instead of the path LP over every flow; a
 dual certificate checked from the LP's own data instead of the solver's
-word; scipy's HiGHS where scipy is installed.
+word; Frank-Wolfe's all-or-nothing step as one Dijkstra and one loop over
+the nodes per destination, and its line search as plain bisection, in
+place of the vectorized step and the Newton search; scipy's HiGHS where
+scipy is installed.
 """
 
 from collections import deque
@@ -17,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from critflow.ecmp import LinkLoads
+from critflow.ecmp import LinkLoads, shortest_distances_to
 from critflow.simplex import LpProblem, solve_lp
 
 
@@ -360,3 +363,95 @@ def check_dual_certificate(problem, solution, tol=1e-9):
     primal, dual = float(problem.c @ solution.x), float(y @ problem.b)
     assert abs(primal - dual) <= 1e-9 * max(abs(primal), abs(dual), 1e-300), \
         f"duality gap: c x = {primal!r}, y b = {dual!r}"
+
+
+def next_links_oracle(topo, weights, d):
+    """Each node's next link toward d under `weights`: the first out-link,
+    in link order, that attains the Dijkstra distance, a later one winning
+    only when lower by more than 1e-15. -1 at d itself."""
+    n = topo.node_count
+    dist = shortest_distances_to(topo, d, weights=weights)
+    next_link = np.full(n, -1, dtype=int)
+    for i in range(n):
+        if i == d:
+            continue
+        best_e, best_v = -1, np.inf
+        for e in topo.out_links[i]:
+            v = weights[e] + dist[topo.links[e].dst]
+            if v < best_v - 1e-15:
+                best_v, best_e = v, e
+        next_link[i] = best_e
+    return next_link, dist
+
+
+def all_or_nothing_oracle(topo, demand, weights):
+    """Every demand on its next-link path toward its destination, pushed
+    node by node from the farthest; the aggregated link loads."""
+    n, m = topo.node_count, topo.link_count
+    loads = np.zeros(m)
+    for d in range(n):
+        col = demand[:, d]
+        if not np.any(col > 0):
+            continue
+        next_link, dist = next_links_oracle(topo, weights, d)
+        acc = col.copy()
+        for i in np.argsort(-dist, kind="stable"):
+            if i == d or acc[i] <= 0:
+                continue
+            e = next_link[i]
+            loads[e] += acc[i]
+            acc[topo.links[e].dst] += acc[i]
+    return loads
+
+
+def delay_slope(load, step_dir, cap, t):
+    """Slope of the delay sum l/(c-l) at load + t * step_dir along step_dir."""
+    lt = load + t * step_dir
+    return float(np.sum(step_dir * cap / (cap - lt) ** 2))
+
+
+def bisection_line_search(load, step_dir, cap, t_ub, halvings=80):
+    """Frank-Wolfe's step length by bisection on the delay's slope: t_ub
+    when the slope there is <= 0, else the lower end of the bracket after
+    `halvings` halvings of [0, t_ub]."""
+    if delay_slope(load, step_dir, cap, t_ub) <= 0:
+        return t_ub
+    lo, hi = 0.0, t_ub
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if delay_slope(load, step_dir, cap, mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def frank_wolfe_oracle(topo, tm, start, max_iters=500, tol=1e-5):
+    """solve_delay_optimal's loop, with the same stopping rules, over
+    all_or_nothing_oracle and bisection_line_search. Returns (omega, load,
+    steps), steps counting the all-or-nothing directions computed."""
+    cap = topo.capacity
+    load = start.load.copy()
+    omega = float(np.sum(load / (cap - load)))
+    steps = 0
+    for _ in range(max_iters):
+        w = cap / (cap - load) ** 2
+        step_dir = all_or_nothing_oracle(topo, tm.demand, w) - load
+        steps += 1
+        if float(-w @ step_dir) <= tol * max(omega, 1e-12):
+            break
+        rising = step_dir > 0
+        t_ub = 1.0
+        if np.any(rising):
+            t_ub = min(1.0, float(np.min(
+                (cap[rising] - load[rising]) / step_dir[rising])) * (1 - 1e-9))
+        t = bisection_line_search(load, step_dir, cap, t_ub)
+        if t <= 0:
+            break
+        load = load + t * step_dir
+        new_omega = float(np.sum(load / (cap - load)))
+        improved = omega - new_omega
+        omega = new_omega
+        if improved < tol * max(omega, 1e-12):
+            break
+    return omega, load, steps

@@ -87,6 +87,27 @@ def test_eval_ecmp_only_needs_no_checkpoint(tmp_path, ring5_file):
     assert (out / "cdf.csv").exists()
 
 
+def test_eval_writes_timings_apart_from_results(tmp_path, ring5_file):
+    out = tmp_path / "ev"
+    rc = run(["eval", "--topology", ring5_file, "--tm-model", "uniform",
+              "--tm-count", "4", "--k", "2", "--methods", "ecmp,top_k",
+              "--out", str(out), "--seed", "1"])
+    assert rc == 0
+    results = (out / "results.csv").read_text().splitlines()
+    assert results[0] == ("tm_id,method,u_method,u_optimal,pr_u,"
+                          "omega_method,omega_optimal,pr_omega,rd")
+    rows = (out / "timings.csv").read_text().splitlines()
+    assert rows[0] == "tm_id,part,ms"
+    parts = [row.split(",") for row in rows[1:]]
+    tm_ids = list(dict.fromkeys(r.split(",")[0] for r in results[1:]))
+    assert len(tm_ids) >= 1
+    # per matrix: the two oracles, then each method
+    assert [(tm, part) for tm, part, _ in parts] == [
+        (tm, part) for tm in tm_ids
+        for part in ("optimum", "delay_optimum", "ecmp", "top_k")]
+    assert all(float(ms) >= 0 for _, _, ms in parts)
+
+
 def test_eval_policy_without_checkpoint_is_usage_error(tmp_path, ring5_file):
     rc = run(["eval", "--topology", ring5_file, "--tm-model", "uniform",
               "--tm-count", "4", "--methods", "policy", "--skip-delay",

@@ -121,6 +121,22 @@ def test_csv_outputs(ring5, ring5_tms, tmp_path):
     assert cpath.read_text().splitlines()[0] == "method,metric,x,cdf"
 
 
+def test_eval_suite_times_oracles_apart_from_methods(ring5, ring5_tms, tmp_path):
+    timings = []
+    records, _ = cf.eval_suite(ring5, ring5_tms[:2], ["ecmp", "top_k"], 2,
+                               include_delay=False, timings=timings)
+    # without delay there is no delay oracle to time
+    assert [(t.tm_id, t.part) for t in timings] == [
+        (tm.id, part) for tm in ring5_tms[:2] for part in ("optimum", "ecmp", "top_k")]
+    assert all(t.ms >= 0 for t in timings)
+    path = tmp_path / "timings.csv"
+    cf.write_timings_csv(timings, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "tm_id,part,ms"
+    assert [line.split(",")[:2] for line in lines[1:]] == \
+        [[t.tm_id, t.part] for t in timings]
+
+
 def test_rd_direction_matches_reported_ordering():
     """Elephant-heavy traffic: plain top-k reroutes more volume than the
     congestion-aware variant (directional check only)."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ def test_every_solution_passes_independent_checker(ring5):
         sol = cf.solve_rerouting(ring5, tm, picks, bg)
         cf.check_rerouting_feasibility(ring5, tm, sol, bg)
         assert sol.u <= cf.ecmp_max_utilization(ring5, tm) + 1e-7
+
+
+def test_independent_checker_rejects_a_broken_flow(ring5):
+    tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=50)[0]
+    flow = (0, 3)
+    bg = background_for(ring5, tm, [flow])
+    sol = cf.solve_rerouting(ring5, tm, [flow], bg)
+    broken = sol.sigma[flow].copy()
+    broken[int(np.argmax(broken))] = 0.0   # the flow vanishes inside the net
+    with pytest.raises(AssertionError, match="conservation"):
+        cf.check_rerouting_feasibility(ring5, tm, replace(sol, sigma={flow: broken}), bg)
 
 
 def test_rerouting_deterministic(ring5):

@@ -154,3 +154,14 @@ def test_undirected_expansion():
     assert topo.link_count == 6
     assert topo.link_index[(0, 1)] is not None
     assert topo.links[topo.link_index[(1, 0)]].cost == 3.0
+
+
+def test_derived_link_arrays():
+    topo = cf.load_topology(ABILENE)
+    assert topo.link_src.tolist() == [lk.src for lk in topo.links]
+    assert topo.link_dst.tolist() == [lk.dst for lk in topo.links]
+    table = topo.out_link_table
+    assert table.shape == (topo.node_count, max(map(len, topo.out_links)))
+    for i, out in enumerate(topo.out_links):
+        # in link order, padded by repeating the first out-link
+        assert table[i].tolist() == list(out) + [out[0]] * (table.shape[1] - len(out))
