@@ -4,14 +4,17 @@ Splitting follows deployed-router (OSPF) semantics: at every node, traffic
 toward a destination divides equally across all next hops that lie on a
 minimum-cost path, independently at each hop. The per-flow fraction on a
 link is the absorption fraction that results from this per-hop process.
+All destinations are solved at once, from one all-pairs distance matrix
+(`topology.shortest_distances`) and one stacked matrix inverse.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
+
+from .topology import shortest_distances
 
 # Two summed costs are "equal" within this tolerance; exact for integral costs.
 COST_TIE_TOL = 1e-12
@@ -42,63 +45,36 @@ class LinkLoads:
         return cls(load=load, max_utilization=float(np.max(load / capacity)))
 
 
-def shortest_distances_to(topo, dest, weights=None):
-    """Dijkstra distances from every node to `dest` along directed links."""
-    w = topo.cost if weights is None else weights
-    n = topo.node_count
-    dist = np.full(n, np.inf)
-    dist[dest] = 0.0
-    heap = [(0.0, dest)]
-    done = [False] * n
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        # relax links (v -> u): moving from v toward dest via u
-        for e in topo.in_links[u]:
-            v = topo.links[e].src
-            nd = du + w[e]
-            if nd < dist[v] - COST_TIE_TOL:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
 def compute_ecmp_fractions(topo):
     """Per-flow per-link ECMP split fractions for all N*(N-1) flows.
 
-    For each destination, the equal-split next-hop relation defines an
-    acyclic transition matrix P (rows strictly decrease distance); the
-    expected-visit matrix (I - P)^-1 turns it into absorption fractions
-    for every source at once.
+    Link e lies on a shortest path to d when dist[src_e, d] equals
+    cost_e + dist[dst_e, d] within COST_TIE_TOL; it then takes the share
+    1 / deg[src_e, d] of what sits at src_e bound for d, deg counting such
+    links. For each destination d these shares make an acyclic transition
+    matrix P[d] (every step strictly lowers the distance), and the
+    expected visits (I - P[d])^-1 turn them into absorption fractions for
+    every source at once: frac[s, d, e] = visits[d, s, src_e] * share[e, d].
+    All N inverses are one stacked call.
     """
     n, m = topo.node_count, topo.link_count
-    frac = np.zeros((n, n, m))
-    for d in range(n):
-        dist = shortest_distances_to(topo, d)
-        if not np.all(np.isfinite(dist)):
-            bad = int(np.argmax(~np.isfinite(dist)))
-            raise RoutingError(f"no path from node {bad} to node {d}")
-        next_links = [[] for _ in range(n)]
-        for e, lk in enumerate(topo.links):
-            if abs(dist[lk.src] - (lk.cost + dist[lk.dst])) <= COST_TIE_TOL:
-                next_links[lk.src].append(e)
-        p = np.zeros((n, n))
-        for i in range(n):
-            if i == d:
-                continue
-            share = 1.0 / len(next_links[i])
-            for e in next_links[i]:
-                p[i, topo.links[e].dst] += share
-        visits = np.linalg.inv(np.eye(n) - p)  # visits[s, i]
-        for i in range(n):
-            if i == d or not next_links[i]:
-                continue
-            share = 1.0 / len(next_links[i])
-            for e in next_links[i]:
-                frac[:, d, e] += visits[:, i] * share
-        frac[d, d, :] = 0.0
+    src, dst = topo.link_src, topo.link_dst
+    dist = shortest_distances(topo, topo.cost)
+    if not np.isfinite(dist).all():
+        d, bad = np.argwhere(~np.isfinite(dist.T))[0]
+        raise RoutingError(f"no path from node {bad} to node {d}")
+    # on[e, d]: link e is a next hop toward d; nothing leaves d itself
+    on = np.abs(dist[src] - (topo.cost[:, None] + dist[dst])) <= COST_TIE_TOL
+    on[np.arange(m), src] = False
+    deg = np.zeros((n, n))
+    np.add.at(deg, src, on)
+    share = on / np.maximum(deg[src], 1.0)  # (M, N)
+    p = np.zeros((n, n, n))
+    p[:, src, dst] = share.T
+    visits = np.linalg.inv(np.eye(n) - p)  # visits[d, s, i]
+    frac = np.ascontiguousarray(
+        (visits[:, :, src] * share.T[:, None, :]).transpose(1, 0, 2))
+    frac[np.arange(n), np.arange(n)] = 0.0
     return EcmpFractions(frac=frac)
 
 

@@ -13,16 +13,23 @@ demand d_f sent down p:
 The eps term keeps optimal routes from wandering onto needlessly long
 paths while staying far too small to perturb U. The capacity rows are in
 utilization units, so their slacks and duals are of order one whatever
-the capacities, and the solver's absolute reduced-cost tolerance stays
-far below eps (in demand units, a slack of 1e4 times a reduced cost of
-1e-9 outweighs the tie-break). The paths are not enumerated: the LP is
-solved by column generation (Ford & Fulkerson 1958). It starts from each
-flow's min-cost path; after every solve, one Dijkstra per flow under the
-link weights eps - y_e * d_f / capacity_e (y_e <= 0 the capacity row
-duals) finds the path of least reduced cost, and a path that prices below
-zero joins the LP. No such path left means the LP over the paths in hand
-is optimal over all paths. A flow's split ratio on a link (`sigma`) is
-the sum of its paths' shares through that link, so it carries no cycle.
+the capacities. Two paths of one flow that cost the same under the duals
+differ in reduced cost by eps times their difference in hops, so the
+simplex and the pricing see the tie-break only where eps exceeds the
+absolute reduced-cost tolerance REDUCED_COST_TOL = 1e-9.
+default_epsilon, 1e-4 / (M K), does so only while M K < 1e5: eps / tol
+is 256 on Abilene at K = 13, 26.5 on a 23-node 74-link net at K = 51,
+2.47 on a 49-node 172-link net at K = 235 and 0.25 for that net's
+all-flows optimum, where the LP can end on a longer path of equal
+utilization. U is optimal to the tolerance either way. The paths are not
+enumerated: the LP is solved by column generation (Ford & Fulkerson
+1958). It starts from each flow's min-cost path; after every solve, one
+Dijkstra per flow under the link weights eps - y_e * d_f / capacity_e
+(y_e <= 0 the capacity row duals) finds the path of least reduced cost,
+and a path that prices below zero joins the LP. No such path left means
+the LP over the paths in hand is optimal over all paths. A flow's split
+ratio on a link (`sigma`) is the sum of its paths' shares through that
+link, so it carries no cycle.
 
 No round needs a phase 1. The first LP starts from a crash basis (Bixby
 1992): every flow on its seed path, U at the seed routing's max
@@ -32,16 +39,16 @@ optimal basis, carried over by column key (U, flow and path, slack row):
 the new paths enter nonbasic at 0, so that basis stays primal feasible.
 Nothing is kept from one call to the next.
 
-Also here: the all-flows optimum, the network delay proxy
-sum(load / (capacity - load)), and its minimizer over all routings via
-Frank-Wolfe (the flow deviation method of Fratta, Gerla & Kleinrock
-1973). The optimum is this same path LP over every flow with demand, over
-zero background. Frank-Wolfe starts from its loads. Each step is
-vectorized: the all-or-nothing direction takes every node's next link
-toward every destination from min-plus squaring of the weight matrix
+Also here: the all-flows optimum, the network delay proxy sum(load /
+(capacity - load)), and its minimizer over all routings via Frank-Wolfe
+(the flow deviation method of Fratta, Gerla & Kleinrock 1973). The
+optimum is this same path LP over every flow with demand, over zero
+background. Frank-Wolfe starts from its loads. Each step is vectorized:
+the all-or-nothing direction takes every node's next link toward every
+destination from the all-pairs distances of topology.shortest_distances
 (ties to the earlier out-link) and pushes all demands down those links
-hop by hop with bincount; the line search takes bracketed Newton steps on
-the delay's slope until the bracket is two adjacent floats. It stops
+hop by hop with bincount; the line search takes bracketed Newton steps
+on the delay's slope until the bracket is two adjacent floats. It stops
 either on a small duality gap, which certifies the delay, or on a step
 that gains little, which does not (see solve_delay_optimal).
 """
@@ -55,6 +62,7 @@ import numpy as np
 
 from .ecmp import LinkLoads
 from .simplex import REDUCED_COST_TOL, LpProblem, solve_lp
+from .topology import shortest_distances
 
 CONSERVATION_TOL = 1e-7
 
@@ -280,9 +288,7 @@ def _next_links(topo, weights):
     """next_link[i, d]: the out-link of node i on its min-weight path to d
     (-1 where i == d).
 
-    The distances to every destination come at once from min-plus squaring
-    of the one-hop weight matrix, dist[i, d] = min over k of
-    dist[i, k] + dist[k, d], repeated until it covers paths of N - 1 hops.
+    The distances to every destination come from `shortest_distances`.
     Node i then takes the out-link e that attains the least
     weights[e] + dist[dst_e, d], column by column over
     `topo.out_link_table`: the earlier out-link wins unless a later one is
@@ -293,13 +299,7 @@ def _next_links(topo, weights):
     """
     n = topo.node_count
     table = topo.out_link_table
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[topo.link_src, topo.link_dst] = weights
-    hops = 1
-    while hops < n - 1:
-        dist = (dist[:, :, None] + dist[None]).min(axis=1)
-        hops *= 2
+    dist = shortest_distances(topo, weights)
     via = weights[table][:, :, None] + dist[topo.link_dst[table]]
     best, next_link = via[:, 0].copy(), np.repeat(table[:, :1], n, axis=1)
     for j in range(1, table.shape[1]):

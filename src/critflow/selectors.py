@@ -1,7 +1,9 @@
 """Critical-flow selectors: demand heuristics, random control, brute force.
 
 All selectors return exactly k distinct flows with deterministic
-tie-breaking (ascending flow id), so runs are reproducible.
+tie-breaking (ascending flow id), so runs are reproducible. The demand
+heuristics are sorts: top_k by demand, top_k_critical by the most
+congested ECMP link each flow crosses, then by demand.
 """
 
 from __future__ import annotations
@@ -60,42 +62,29 @@ def top_k(tm, k):
 def top_k_critical(topo, tm, k, fractions=None):
     """The k largest flows drawn from the most congested links.
 
-    Links are walked in descending ECMP utilization; each link contributes
-    its traversing flows (ECMP fraction > 0) in descending demand order.
-    If the walk runs out of links first, remaining slots fill from the
-    global demand ranking.
+    Links are walked in descending ECMP utilization (link id ascending on
+    ties); each link contributes its traversing flows (ECMP fraction >
+    TRAVERSAL_EPS) not yet taken, in descending demand order. As one sort:
+    each flow is ranked by the best place among the links it crosses,
+    then by descending demand, then by flow id, and the first k are taken.
+    Every flow crosses some link (its out-link fractions at its source sum
+    to 1), so the walk never runs out of flows.
     """
     n = tm.n
     if k > n * (n - 1):
         raise SelectionError(f"k={k} exceeds flow count {n * (n - 1)}")
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
-    loads = ecmp_link_loads(topo, tm, fractions)
-    util = loads.load / topo.capacity
-    link_order = sorted(range(topo.link_count), key=lambda e: (-util[e], e))
-    chosen = []
-    seen = set()
-    for e in link_order:
-        if len(chosen) >= k:
-            break
-        on_link = [(s, d) for s in range(n) for d in range(n)
-                   if s != d and fractions.frac[s, d, e] > TRAVERSAL_EPS]
-        on_link.sort(key=lambda f: (-tm.demand[f[0], f[1]],
-                                    flow_index(f[0], f[1], n)))
-        for f in on_link:
-            if f not in seen:
-                seen.add(f)
-                chosen.append(f)
-                if len(chosen) >= k:
-                    break
-    if len(chosen) < k:  # sparse TM: spill to the global ranking
-        for f in _ranked_by_demand(tm):
-            if f not in seen:
-                seen.add(f)
-                chosen.append(f)
-                if len(chosen) >= k:
-                    break
-    return SelectionResult(flows=tuple(chosen), method="top_k_critical")
+    util = ecmp_link_loads(topo, tm, fractions).load / topo.capacity
+    m = topo.link_count
+    place = np.empty(m, dtype=int)
+    place[np.lexsort((np.arange(m), -util))] = np.arange(m)
+    first = np.where(fractions.frac > TRAVERSAL_EPS, place, m).min(axis=2)
+    off_diag = ~np.eye(n, dtype=bool)  # row-major: flow-id order
+    order = np.lexsort((np.arange(n * (n - 1)), -tm.demand[off_diag],
+                        first[off_diag]))
+    flows = [flow_of_index(int(a), n) for a in order[:k]]
+    return SelectionResult(flows=tuple(flows), method="top_k_critical")
 
 
 def random_k(n_flows, k, seed, n=None):

@@ -5,6 +5,10 @@ carry a positive capacity (traffic units) and a positive routing cost.
 Flows are ordered (source, destination) pairs; `flow_index` maps them onto
 the contiguous id range 0..N*(N-1)-1 used by selectors and the policy net.
 
+`shortest_distances` is the one shortest-path kernel: all-pairs distances
+under any link weights by min-plus squaring. ECMP, Frank-Wolfe's next
+links and the strong-connectivity check (every distance finite) use it.
+
 Text format (UTF-8, line oriented, `#` starts a comment):
 
     nodes <N>
@@ -75,6 +79,8 @@ class Topology:
         self.cost = np.array([lk.cost for lk in self.links], dtype=float)
         self.link_src = np.array([lk.src for lk in self.links], dtype=int)
         self.link_dst = np.array([lk.dst for lk in self.links], dtype=int)
+        if not np.isfinite(shortest_distances(self, self.cost)).all():
+            raise TopologyValidationError("not strongly connected")
         self.link_index = {(lk.src, lk.dst): i for i, lk in enumerate(self.links)}
         out = [[] for _ in range(self.node_count)]
         inc = [[] for _ in range(self.node_count)]
@@ -120,30 +126,25 @@ def _validate(n, links):
         if not (lk.cost > 0 and np.isfinite(lk.cost)):
             raise TopologyValidationError(
                 f"link ({lk.src},{lk.dst}) cost must be positive, got {lk.cost}")
-    if not _strongly_connected(n, links):
-        raise TopologyValidationError("not strongly connected")
 
 
-def _strongly_connected(n, links):
-    fwd = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for lk in links:
-        fwd[lk.src].append(lk.dst)
-        rev[lk.dst].append(lk.src)
-    return _reaches_all(fwd, n) and _reaches_all(rev, n)
+def shortest_distances(topo, weights):
+    """dist[i, d]: the least total weight of a path from node i to node d
+    along directed links (inf where none), for weights >= 0 per link.
 
-
-def _reaches_all(adj, n):
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+    Min-plus squaring of the one-hop weight matrix: dist[i, d] = min over
+    k of dist[i, k] + dist[k, d], repeated until it covers paths of N - 1
+    hops.
+    """
+    n = topo.node_count
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    dist[topo.link_src, topo.link_dst] = weights
+    hops = 1
+    while hops < n - 1:
+        dist = (dist[:, :, None] + dist[None]).min(axis=1)
+        hops *= 2
+    return dist
 
 
 def flow_index(s, d, n):

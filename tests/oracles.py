@@ -1,15 +1,16 @@
 """Independent oracles the tests check the library against.
 
 These deliberately re-derive results through different algorithms than the
-implementation: Floyd-Warshall + recursive splitting instead of Dijkstra +
-linear solve for ECMP; bisection over max-flow feasibility instead of the
+implementation: Floyd-Warshall + recursive splitting instead of min-plus
+squaring + one stacked matrix inverse for ECMP; top-k-critical as a walk
+over the links, hottest first, instead of one sort over the flows; bisection over max-flow feasibility instead of the
 simplex for single-flow min-max routing; exhaustive vertex enumeration for
 small LPs; the edge form of the rerouting LP (one split ratio per flow and
 link, with conservation rows) instead of column generation over paths;
 the destination form of the all-flows optimum (one commodity per
 destination, in link flows) instead of the path LP over every flow; a
 dual certificate checked from the LP's own data instead of the solver's
-word; Frank-Wolfe's all-or-nothing step as one Dijkstra and one loop over
+word; Frank-Wolfe's all-or-nothing step as Floyd-Warshall and one loop over
 the nodes per destination, and its line search as plain bisection, in
 place of the vectorized step and the Newton search; scipy's HiGHS where
 scipy is installed.
@@ -20,16 +21,18 @@ from itertools import combinations
 
 import numpy as np
 
-from critflow.ecmp import LinkLoads, shortest_distances_to
+from critflow.ecmp import LinkLoads
 from critflow.simplex import LpProblem, solve_lp
 
 
-def floyd_warshall_dist(topo):
+def floyd_warshall_dist(topo, weights=None):
+    """All-pairs distances under `weights` (the link costs by default)."""
+    w = topo.cost if weights is None else weights
     n = topo.node_count
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for lk in topo.links:
-        dist[lk.src, lk.dst] = min(dist[lk.src, lk.dst], lk.cost)
+    for e, lk in enumerate(topo.links):
+        dist[lk.src, lk.dst] = min(dist[lk.src, lk.dst], w[e])
     for k in range(n):
         dist = np.minimum(dist, dist[:, k: k + 1] + dist[k: k + 1, :])
     return dist
@@ -367,10 +370,10 @@ def check_dual_certificate(problem, solution, tol=1e-9):
 
 def next_links_oracle(topo, weights, d):
     """Each node's next link toward d under `weights`: the first out-link,
-    in link order, that attains the Dijkstra distance, a later one winning
-    only when lower by more than 1e-15. -1 at d itself."""
+    in link order, that attains the Floyd-Warshall distance, a later one
+    winning only when lower by more than 1e-15. -1 at d itself."""
     n = topo.node_count
-    dist = shortest_distances_to(topo, d, weights=weights)
+    dist = floyd_warshall_dist(topo, weights)[:, d]
     next_link = np.full(n, -1, dtype=int)
     for i in range(n):
         if i == d:
@@ -455,3 +458,33 @@ def frank_wolfe_oracle(topo, tm, start, max_iters=500, tol=1e-5):
         if improved < tol * max(omega, 1e-12):
             break
     return omega, load, steps
+
+
+def top_k_critical_walk(topo, tm, k, frac, traversal_eps=1e-12):
+    """The k flows of the Top-K Critical heuristic by walking the links in
+    descending ECMP utilization (link id ascending on ties): each link adds
+    the flows with frac[s, d, e] > traversal_eps not yet taken, by
+    descending demand, then flow id. Remaining slots fill from the global
+    demand ranking. Returns (s, d) pairs in selection order."""
+    flows = topo.flows()  # flow-id order
+    flow_id = {f: a for a, f in enumerate(flows)}
+
+    def by_demand(f):
+        return (-tm.demand[f], flow_id[f])
+
+    util = (np.tensordot(tm.demand, frac, axes=([0, 1], [0, 1]))
+            / topo.capacity)
+    chosen, seen = [], set()
+    for e in sorted(range(topo.link_count), key=lambda e: (-util[e], e)):
+        if len(chosen) >= k:
+            break
+        on_link = [f for f in flows if frac[f][e] > traversal_eps]
+        for f in sorted(on_link, key=by_demand):
+            if f not in seen:
+                seen.add(f)
+                chosen.append(f)
+    for f in sorted(flows, key=by_demand):
+        if f not in seen:
+            seen.add(f)
+            chosen.append(f)
+    return chosen[:k]

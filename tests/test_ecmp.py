@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from conftest import tm_with
+from conftest import ABILENE, tm_with
 from oracles import ecmp_fractions_oracle
 
 
@@ -110,21 +110,29 @@ def test_flow_conservation_at_transit_nodes(ring5):
 
 
 def test_fractions_match_recursive_oracle_random_graphs():
-    for seed in range(10):
-        n = 4 + seed % 3  # 4..6 nodes
-        topo = cf.random_topology(n, 2 + seed % 3, seed=seed)
+    topos = [cf.random_topology(4 + seed % 3, 2 + seed % 3, seed=seed)  # 4..6 nodes
+             for seed in range(10)]
+    topos += [cf.load_topology(ABILENE),
+              cf.random_topology(8, 6, seed=3),
+              cf.random_topology(23, 14, seed=3),  # EBone-sized: 74 links
+              # all costs equal: ties come from the structure alone
+              cf.random_topology(23, 14, seed=4, cost_range=(1.0, 1.0))]
+    for topo in topos:
         fr = cf.compute_ecmp_fractions(topo)
         oracle = ecmp_fractions_oracle(topo)
-        assert np.max(np.abs(fr.frac - oracle)) <= 1e-9
+        assert np.max(np.abs(fr.frac - oracle)) <= 1e-9, topo.name
 
 
 def test_unreachable_pair_reported():
     # bypass constructor validation to reach the defensive error path:
     # drop every link into node 4, so nothing reaches it
     topo = cf.ring_with_chords()
+    keep = topo.link_dst != 4
     broken = object.__new__(cf.Topology)
     broken.__dict__.update(topo.__dict__)
-    broken.in_links = tuple(() if i == 4 else v
-                            for i, v in enumerate(topo.in_links))
-    with pytest.raises(cf.RoutingError, match="to node 4"):
+    broken.links = tuple(lk for lk in topo.links if lk.dst != 4)
+    broken.cost = topo.cost[keep]
+    broken.link_src = topo.link_src[keep]
+    broken.link_dst = topo.link_dst[keep]
+    with pytest.raises(cf.RoutingError, match="no path from node 0 to node 4"):
         cf.compute_ecmp_fractions(broken)

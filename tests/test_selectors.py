@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from conftest import tm_with
+from conftest import ABILENE, tm_with
+from oracles import top_k_critical_walk
 
 
 def test_top_k_picks_largest():
@@ -54,6 +55,43 @@ def test_top_k_critical_spills_to_next_link(diamond):
     assert sel.flows[0] == (0, 3)
     assert sel.flows[1] == (0, 1)
     assert len(sel.flows) == 3
+
+
+def _walk_cases():
+    """(topology, matrices) pairs: random 4-8 node nets, Abilene and an
+    EBone-sized stand-in (23 nodes, 74 links); three exponential matrices,
+    one with every demand equal and one with a single nonzero demand."""
+    topos = [cf.random_topology(n, n - 2, seed=s) for n in range(4, 9) for s in (0, 1)]
+    topos += [cf.load_topology(ABILENE),
+              cf.infer_capacities_from_costs(cf.random_topology(23, 14, seed=3), 1000.0)]
+    for topo in topos:
+        n = topo.node_count
+        mats = cf.generate_tms(topo, "exponential", 3, 0.9, seed=3)
+        equal = np.ones((n, n))
+        np.fill_diagonal(equal, 0.0)
+        mats += [cf.TrafficMatrix(n, equal), tm_with(n, {(n - 1, 1): 2.0})]
+        yield topo, mats
+
+
+def test_top_k_critical_matches_link_walk():
+    for topo, mats in _walk_cases():
+        fr = cf.compute_ecmp_fractions(topo)
+        n_flows = topo.flow_count
+        for tm in mats:
+            for k in sorted({1, 2, max(1, n_flows // 10), n_flows}):
+                sel = cf.top_k_critical(topo, tm, k, fractions=fr)
+                assert list(sel.flows) == top_k_critical_walk(topo, tm, k, fr.frac), \
+                    (topo.name, tm.id, k)
+
+
+def test_every_flow_crosses_a_link():
+    # the link walk never runs out of flows: each flow's fractions on its
+    # source's out-links sum to 1, so one of them is >= 1 / out-degree
+    for topo, _ in _walk_cases():
+        frac = cf.compute_ecmp_fractions(topo).frac
+        crosses = (frac > cf.selectors.TRAVERSAL_EPS).any(axis=2)
+        np.fill_diagonal(crosses, True)
+        assert crosses.all(), topo.name
 
 
 def test_random_k_properties():

@@ -47,9 +47,18 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_not_strongly_connected_named():
-    text = "nodes 3\nlink 0 1 1 1\nlink 1 0 1 1\nlink 0 2 1 1\n"
-    with pytest.raises(cf.TopologyValidationError, match="not strongly connected"):
-        cf.parse_topology(text)
+    texts = [
+        # node 2 has no out-links
+        "nodes 3\nlink 0 1 1 1\nlink 1 0 1 1\nlink 0 2 1 1\n",
+        # node 2 has no in-links
+        "nodes 3\nlink 0 1 1 1\nlink 1 0 1 1\nlink 2 0 1 1\n",
+        # two strongly connected parts joined one way, 1 -> 2
+        "nodes 4\nlink 0 1 1 1\nlink 1 0 1 1\nlink 2 3 1 1\nlink 3 2 1 1\n"
+        "link 1 2 1 1\n",
+    ]
+    for text in texts:
+        with pytest.raises(cf.TopologyValidationError, match="not strongly connected"):
+            cf.parse_topology(text)
 
 
 def test_self_loop_and_duplicate_rejected():
