@@ -3,10 +3,11 @@
 A single hot flow on the triangle gets split across its two paths,
 halving the worst link load; freeing every flow reaches the same point
 here. The LP is over paths: it starts from the flow's shortest path and
-adds the detour once the link duals price it below zero. Every round
-starts from a feasible basis (a crash basis, then the last round's), so
-phase 1 takes no pivots. Also dumps that final LP in interchange format
-for external solvers.
+adds the detour once the link duals price it below zero. The LP is built
+once; each round appends its new path columns and starts from a feasible
+basis (a crash basis, then the last round's, with its B^-1), so phase 1
+takes no pivots and only the first round inverts B. Also dumps that final
+LP in interchange format for external solvers.
 """
 
 import numpy as np
@@ -31,8 +32,10 @@ for e, ratio in enumerate(sol.sigma[(0, 2)]):
     if ratio > 1e-9:
         lk = triangle.links[e]
         print(f"  {ratio:.0%} of the demand on link {lk.src}->{lk.dst}")
-for i, (phase1, phase2) in enumerate(sol.round_pivots):
-    print(f"  LP round {i}: {phase1} phase-1 and {phase2} phase-2 pivots")
+for i, ((phase1, phase2), added) in enumerate(zip(sol.round_pivots,
+                                                  sol.round_columns)):
+    print(f"  LP round {i}: {added} new path column(s), "
+          f"{phase1} phase-1 and {phase2} phase-2 pivots")
 print("paths the LP ended with (node sequences):")
 for path in sol.paths[(0, 2)]:
     print("  " + "->".join(str(triangle.links[e].src) for e in path) + "->2")
@@ -45,3 +48,10 @@ print("\n=== The final path LP, in interchange format ===")
 problem = build_path_lp(triangle, tm, [(0, 2)], background.load, sol.paths,
                         cf.default_epsilon(triangle, 1))
 print(cf.lp_to_text(problem, name="triangle rerouting"))
+
+print("=== Handing B^-1 over with the basis ===")
+cold = cf.solve_lp(problem)
+again = cf.solve_lp(problem, basis=cold.basis, binv=cold.binv)
+for label, s in (("cold solve", cold), ("from its final basis and B^-1", again)):
+    print(f"{label}: {s.iterations} pivots, "
+          f"{'inverted B' if s.inverted else 'took the given B^-1'}")

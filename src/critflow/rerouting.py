@@ -24,20 +24,25 @@ all-flows optimum, where the LP can end on a longer path of equal
 utilization. U is optimal to the tolerance either way. The paths are not
 enumerated: the LP is solved by column generation (Ford & Fulkerson
 1958). It starts from each flow's min-cost path; after every solve, one
-Dijkstra per flow under the link weights eps - y_e * d_f / capacity_e
-(y_e <= 0 the capacity row duals) finds the path of least reduced cost,
+batched Bellman-Ford pass (topology.shortest_path_trees) finds, for all
+flows at once, the path of least reduced cost under each flow's link
+weights eps - y_e * d_f / capacity_e (y_e <= 0 the capacity row duals),
 and a path that prices below zero joins the LP. No such path left means
 the LP over the paths in hand is optimal over all paths. A flow's split
 ratio on a link (`sigma`) is the sum of its paths' shares through that
 link, so it carries no cycle.
 
-No round needs a phase 1. The first LP starts from a crash basis (Bixby
-1992): every flow on its seed path, U at the seed routing's max
+One LP per call, re-optimized from its last basis as columns arrive
+(Lübbecke & Desrosiers 2005). The first round starts from a crash basis
+(Bixby 1992): every flow on its seed path, U at the seed routing's max
 utilization, basic in that link's capacity row, and the slacks of the
-other capacity rows. Each later round starts from the previous round's
-optimal basis, carried over by column key (U, flow and path, slack row):
-the new paths enter nonbasic at 0, so that basis stays primal feasible.
-Nothing is kept from one call to the next.
+other capacity rows; it is the only round that inverts B. Each later
+round inserts its new path columns after their flows' pools, in the
+order build_path_lp gives them, and starts from the previous round's
+optimal basis, renumbered around them, and its B^-1: the new paths enter
+nonbasic at 0, so the basis stays primal feasible and B stays the same
+matrix. No round needs a phase 1. Nothing is kept from one call to the
+next.
 
 Also here: the all-flows optimum, the network delay proxy sum(load /
 (capacity - load)), and its minimizer over all routings via Frank-Wolfe
@@ -55,14 +60,14 @@ that gains little, which does not (see solve_delay_optimal).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .ecmp import LinkLoads
 from .simplex import REDUCED_COST_TOL, LpProblem, solve_lp
-from .topology import shortest_distances
+from .topology import shortest_distances, shortest_path_trees, tree_path
 
 CONSERVATION_TOL = 1e-7
 
@@ -80,6 +85,8 @@ class ReroutingSolution:
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
     # (phase-1, phase-2) pivots of each column-generation round's LP
     round_pivots: list = field(default_factory=list)
+    # path columns each round's LP added to the last one (round 0: the seeds)
+    round_columns: list = field(default_factory=list)
 
 
 def default_epsilon(topo, k):
@@ -87,35 +94,39 @@ def default_epsilon(topo, k):
     return 1e-4 / (topo.link_count * max(k, 1))
 
 
-def _cheapest_path(topo, s, d, weights):
-    """(links of a min-weight s->d path, its weight), weights >= 0.
+def _flat_paths(cols):
+    """(flow position, hops) of each (flow position, path) pair in cols,
+    and all their links, path after path."""
+    fis = np.array([fi for fi, _ in cols], dtype=int)
+    hops = np.array([len(p) for _, p in cols], dtype=int)
+    links = np.fromiter(chain.from_iterable(p for _, p in cols), dtype=int,
+                        count=int(hops.sum()))
+    return fis, hops, links
 
-    The path is read from Dijkstra's predecessor tree, which is acyclic
-    even where weights are zero and distances tie.
-    """
-    w = weights.tolist()
-    dist = [np.inf] * topo.node_count
-    pred = [-1] * topo.node_count
-    dist[s] = 0.0
-    heap = [(0.0, s)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u == d:
-            break
-        if du > dist[u]:
-            continue
-        for e in topo.out_links[u]:
-            v = topo.links[e].dst
-            if du + w[e] < dist[v]:
-                dist[v] = du + w[e]
-                pred[v] = e
-                heapq.heappush(heap, (dist[v], v))
-    path = []
-    node = d
-    while node != s:
-        path.append(pred[node])
-        node = topo.links[pred[node]].src
-    return tuple(reversed(path)), dist[d]
+
+def _path_columns(topo, demand, cols, epsilon):
+    """The path LP's columns for the (flow position, path) pairs in cols,
+    as (A block, costs): the flow's demand (demand[flow position]) over
+    capacity on the path's capacity rows, 1 on its convexity row, cost
+    eps per hop."""
+    m = topo.link_count
+    fis, hops, links = _flat_paths(cols)
+    j = np.arange(len(cols))
+    a = np.zeros((m + len(demand), len(cols)))
+    a[links, np.repeat(j, hops)] = np.repeat(demand[fis], hops) / topo.capacity[links]
+    a[m + fis, j] = 1.0
+    return a, epsilon * hops
+
+
+def _path_lp(topo, flows, background_load, a_paths, c_paths, names=None):
+    """The path LP: U, then the given path columns."""
+    m, k = topo.link_count, len(flows)
+    u_col = np.zeros((m + k, 1))
+    u_col[:m] = -1.0
+    b = np.concatenate([-np.asarray(background_load, dtype=float) / topo.capacity,
+                        np.ones(k)])
+    return LpProblem(c=np.concatenate([[1.0], c_paths]), a=np.hstack([u_col, a_paths]),
+                     rel=["<="] * m + ["="] * k, b=b, var_names=names)
 
 
 def build_path_lp(topo, tm, flows, background_load, paths, epsilon):
@@ -123,23 +134,24 @@ def build_path_lp(topo, tm, flows, background_load, paths, epsilon):
     column per path in paths[f] (a tuple of link indices), flows in the
     given order. Rows: one capacity row per link, in utilization units,
     then one convexity row per flow."""
-    m, k = topo.link_count, len(flows)
-    cap = topo.capacity
     cols = [(fi, p) for fi, f in enumerate(flows) for p in paths[f]]
-    a = np.zeros((m + k, 1 + len(cols)))
-    a[:m, 0] = -1.0
-    c = np.zeros(1 + len(cols))
-    c[0] = 1.0
     names = ["U"]
-    for j, (fi, p) in enumerate(cols, start=1):
+    for fi, p in cols:
         s, d = flows[fi]
-        a[list(p), j] = tm.demand[s, d] / cap[list(p)]
-        a[m + fi, j] = 1.0
-        c[j] = epsilon * len(p)
         hops = "_".join(str(topo.links[e].src) for e in p)
         names.append(f"x{s}_{d}__{hops}_{d}")
-    b = np.concatenate([-np.asarray(background_load, dtype=float) / cap, np.ones(k)])
-    return LpProblem(c=c, a=a, rel=["<="] * m + ["="] * k, b=b, var_names=names)
+    demand = np.array([tm.demand[f] for f in flows])
+    return _path_lp(topo, flows, background_load,
+                    *_path_columns(topo, demand, cols, epsilon), names=names)
+
+
+def _check_flows(flows):
+    """Raise ValueError on a self-pair or a flow listed twice (flows sorted)."""
+    for i, (s, d) in enumerate(flows):
+        if s == d:
+            raise ValueError(f"flow ({s}, {d}) has its source as destination")
+        if i and flows[i - 1] == flows[i]:
+            raise ValueError(f"flow ({s}, {d}) is listed twice")
 
 
 def solve_rerouting(topo, tm, critical, background, epsilon=None):
@@ -149,11 +161,13 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     Column generation over simple paths (see the module docstring); the
     returned `paths` hold each flow's final pool, so
     build_path_lp(topo, tm, sorted(critical), background, paths, epsilon)
-    is the last LP solved.
+    is the last LP solved. A flow listed twice, or from a node to itself,
+    raises ValueError.
     """
     bg = np.asarray(background.load if isinstance(background, LinkLoads)
                     else background, dtype=float)
     flows = sorted(critical)
+    _check_flows(flows)
     if not flows:
         loads = LinkLoads.from_load(bg, topo.capacity)
         return ReroutingSolution(sigma={}, u=loads.max_utilization,
@@ -161,53 +175,63 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
                                  link_loads=loads)
     if epsilon is None:
         epsilon = default_epsilon(topo, len(flows))
-    m = topo.link_count
-    demand = np.array([tm.demand[s, d] for s, d in flows])
+    m, n, k = topo.link_count, topo.node_count, len(flows)
+    src, dst = np.array(flows).T
+    demand = tm.demand[src, dst]
     inv_cap = 1.0 / topo.capacity
-    paths = {f: [_cheapest_path(topo, *f, topo.cost)[0]] for f in flows}
-    keys = _column_keys(flows, paths)
-    basis = _crash_basis(topo, flows, paths, demand, bg)
-    round_pivots = []
+    # seeds: one min-cost tree from every node
+    _, pred = shortest_path_trees(topo, np.arange(n),
+                                  np.broadcast_to(topo.cost, (n, m)))
+    paths = {f: [tree_path(topo, pred[f[0]], *f)] for f in flows}
+    problem = _path_lp(topo, flows, bg, *_path_columns(
+        topo, demand, [(fi, paths[f][0]) for fi, f in enumerate(flows)], epsilon))
+    basis, binv = _crash_basis(topo, flows, paths, demand, bg), None
+    ends = np.arange(2, k + 2)  # one past each flow's last column
+    round_pivots, round_columns = [], [k]
     while True:
-        sol = solve_lp(build_path_lp(topo, tm, flows, bg, paths, epsilon),
-                       basis=basis)
+        sol = solve_lp(problem, basis=basis, binv=binv)
         round_pivots.append((sol.phase1_iterations, sol.phase2_iterations))
         y, mu = sol.duals[:m], sol.duals[m:]
-        added = False
-        for fi, f in enumerate(flows):
-            # y <= 0 on the capacity rows, up to the solver's tolerance
-            weights = np.maximum(epsilon - y * inv_cap * demand[fi], 0.0)
-            path, weight = _cheapest_path(topo, *f, weights)
+        # y <= 0 on the capacity rows, up to the solver's tolerance
+        weights = np.maximum(epsilon - np.outer(demand, y * inv_cap), 0.0)
+        dist, pred = shortest_path_trees(topo, src, weights)
+        new = []
+        for fi in np.flatnonzero(dist[np.arange(k), dst] - mu < -REDUCED_COST_TOL):
+            f = flows[fi]
+            path = tree_path(topo, pred[fi], *f)
             # a path already in the pool prices >= -tol in the LP just
             # solved, whatever this sum rounds to: never add it twice
-            if weight - mu[fi] < -REDUCED_COST_TOL and path not in paths[f]:
+            if path not in paths[f]:
                 paths[f].append(path)
-                added = True
-        if not added:
+                new.append((fi, path))
+        if not new:
             break
-        # the new columns enter nonbasic at 0: the optimal basis stays feasible
-        new_keys = _column_keys(flows, paths)
-        basis = _carry_basis(sol.basis, keys, new_keys)
-        keys = new_keys
-    sigma = {}
-    load = bg.copy()
-    j = 1
-    for fi, f in enumerate(flows):
-        ratios = np.zeros(m)
-        for p in paths[f]:
-            ratios[list(p)] += sol.x[j]
-            j += 1
-        sigma[f] = ratios
-        load = load + ratios * demand[fi]
+        round_columns.append(len(new))
+        # each new path goes after its flow's pool, as build_path_lp has it
+        grown = np.array([fi for fi, _ in new])
+        at = ends[grown]
+        ends += np.cumsum(np.bincount(grown, minlength=k))
+        a_new, c_new = _path_columns(topo, demand, new, epsilon)
+        problem = LpProblem(c=np.insert(problem.c, at, c_new),
+                            a=np.insert(problem.a, at, a_new, axis=1),
+                            rel=problem.rel, b=problem.b)
+        # the new columns enter nonbasic at 0: the optimal basis stays
+        # feasible, and B, so B^-1, is unchanged; later columns and the
+        # slacks (numbered after the columns) shift up
+        basis = sol.basis + np.searchsorted(at, sol.basis, side="right")
+        binv = sol.binv
+    # each flow's ratios: the sum of its paths' shares, in pool order
+    fis, hops, links = _flat_paths([(fi, p) for fi, f in enumerate(flows)
+                                    for p in paths[f]])
+    ratios = np.zeros((k, m))
+    np.add.at(ratios, (np.repeat(fis, hops), links), np.repeat(sol.x[1:], hops))
+    load = bg + demand @ ratios
+    sigma = dict(zip(flows, ratios))
     loads = LinkLoads.from_load(load, topo.capacity)
     return ReroutingSolution(sigma=sigma, u=loads.max_utilization,
                              objective=sol.objective, link_loads=loads,
-                             paths=paths, round_pivots=round_pivots)
-
-
-def _column_keys(flows, paths):
-    """The path LP's columns by key: "U", then (flow, path) in LP order."""
-    return ["U"] + [(f, p) for f in flows for p in paths[f]]
+                             paths=paths, round_pivots=round_pivots,
+                             round_columns=round_columns)
 
 
 def _crash_basis(topo, flows, paths, demand, bg):
@@ -215,25 +239,14 @@ def _crash_basis(topo, flows, paths, demand, bg):
     flow): every flow on its seed path, U basic in the capacity row of the
     most utilized link (the lowest row on ties) and the slacks of every
     other capacity row, which hold U minus their link's utilization."""
-    m = topo.link_count
+    m, k = topo.link_count, len(flows)
+    _, hops, links = _flat_paths([(fi, paths[f][0]) for fi, f in enumerate(flows)])
     load = bg.copy()
-    for fi, f in enumerate(flows):
-        load[list(paths[f][0])] += demand[fi]
-    k = len(flows)
+    np.add.at(load, links, np.repeat(demand, hops))
     # slack of capacity row i is column 1 + k + i; flow fi's seed path is 1 + fi
     basis = np.concatenate([1 + k + np.arange(m), 1 + np.arange(k)])
     basis[int(np.argmax(load / topo.capacity))] = 0
     return basis
-
-
-def _carry_basis(basis, old_keys, new_keys):
-    """The final basis of one round in the numbering of the next round's
-    LP: a path joining an earlier flow's pool shifts the later columns and
-    the slacks (numbered after the columns)."""
-    where = {key: j for j, key in enumerate(new_keys)}
-    n_old, n_new = len(old_keys), len(new_keys)
-    return np.array([where[old_keys[j]] if j < n_old else n_new + j - n_old
-                     for j in basis])
 
 
 def solve_optimal_all_flows(topo, tm):

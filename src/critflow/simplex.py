@@ -17,9 +17,13 @@ A solve may start from a given basis: when it is nonsingular and
 primal feasible with every nonbasic variable at its lower bound, phase 2
 starts from it with no artificials (a warm start, as between rounds of
 column generation); otherwise phase 1 first drives the artificials of the
-slack/artificial basis to zero. Each solution counts its pivots per
-phase, its degenerate pivots and refreshes of B^-1, says whether Bland's
-rule fired, and reports its largest row residual.
+slack/artificial basis to zero. The basis may come with its B^-1, as the
+last solve returned it: columns appended since then leave B unchanged,
+so the next round of column generation takes that inverse after an
+O(m^2) check instead of inverting B again. Each solution counts its
+pivots per phase, its degenerate pivots and refreshes of B^-1, says
+whether it inverted B or took the given inverse and whether Bland's rule
+fired, and reports its largest row residual.
 
 Desk-scale only: the basis inverse is kept as a dense matrix, refreshed
 periodically to bound drift.
@@ -37,7 +41,9 @@ DEGENERATE_STEP_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
 BLAND_AFTER_DEGENERATE = 1000
 REFRESH_EVERY = 500
-# a starting basis whose B @ B^-1 misses the identity by more is singular
+# a starting basis whose B @ B^-1 misses the identity by more is singular;
+# a given B^-1 whose B x_B misses b by more than this times (1 + max|b|)
+# is not taken
 SINGULAR_TOL = 1e-9
 
 
@@ -113,21 +119,31 @@ class LpSolution:
     phase2_iterations: int = 0
     degenerate_pivots: int = 0    # pivots and bound flips with step <= DEGENERATE_STEP_TOL
     used_bland: bool = False      # the anti-cycling fallback fired
-    refreshes: int = 0            # rebuilds of B^-1 from scratch after the first inversion
+    refreshes: int = 0            # rebuilds of B^-1 from scratch after the start
     max_residual: float = 0.0     # largest row violation of the returned x
+    # the start inverted B (True) or took the B^-1 given with the basis
+    inverted: bool = True
+    # (m, m) B^-1 of the final basis, rows in basis order, where basis is set
+    binv: np.ndarray = None
 
 
-def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
+def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None,
+             binv=None):
     """Solve to an optimal basic feasible solution.
 
     With `basis` (one column per row, numbered as in LpSolution.basis)
-    and every nonbasic variable at its lower bound, B is inverted once;
-    if it is nonsingular and its basic values lie within their bounds to
-    the scaled feasibility tolerance, phase 2 starts there, with no
-    artificials. A singular or infeasible basis, or none, takes the
-    two-phase path from the slack/artificial basis. A basis of the wrong
-    length, with an index out of range or with the slack of an '=' row
-    raises ValueError.
+    and every nonbasic variable at its lower bound, B is inverted once and
+    B B^-1 checked against the identity; if B is nonsingular and its
+    basic values lie within their bounds to the scaled feasibility
+    tolerance, phase 2 starts there, with no artificials. With `binv` as
+    well, B^-1 of that basis (LpSolution.binv of a solve whose basis this
+    is, after columns were added), a copy of it is taken without
+    inverting when B x_B = b holds to SINGULAR_TOL, and B is inverted as
+    above when it does not. A singular or infeasible basis, or none,
+    takes the two-phase path from the slack/artificial basis. A basis of
+    the wrong length, with an index out of range or with the slack of an
+    '=' row, or a binv without a basis or of the wrong shape, raises
+    ValueError.
 
     The row duals y = c_B B^-1 of the final basis come back as `duals`:
     y <= 0 on '<=' rows and y >= 0 on '>=' rows (within `tol`), and every
@@ -155,10 +171,12 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
     feas_tol = FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b1), initial=0.0)))
 
     state = None
+    if binv is not None and (basis is None or np.shape(binv) != (m, m)):
+        raise ValueError(f"binv needs a basis and shape ({m}, {m})")
     if basis is not None:
         warm = _internal_basis(basis, n, m, slack_col)
         state = _warm_state(_with_unit_columns(problem.a, slack_rows, sign),
-                            b1, u_real, warm, feas_tol)
+                            b1, u_real, warm, feas_tol, binv)
     if state is None:
         # the slack starts basic where it is feasible, else an artificial
         slack_ok = ((sign > 0) & (b1 >= 0)) | ((sign < 0) & (b1 <= 0))
@@ -171,6 +189,7 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
         state = _SimplexState(a2=a2, b=b1, u=u, basis=start,
                               n_total=a2.shape[1], m=m)
         state.refresh()
+    inverted = state.refreshes == 1  # else the given B^-1 was taken
     n_total = state.n_total
     if max_iters is None:
         max_iters = max(5000, 60 * (m + n_total))
@@ -198,9 +217,9 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
     bad = np.flatnonzero(violation > feas_tol)
     if bad.size:
         raise LpError(f"solution violates row {bad[0]} by {resid[bad[0]]:.3e}")
-    final = None
+    final = final_binv = None
     if np.all(state.basis < n_real):
-        final = state.basis.copy()
+        final, final_binv = state.basis.copy(), state.binv
         slack = final >= n
         final[slack] = n + slack_rows[final[slack] - n]
     return LpSolution(x=x, objective=float(problem.c @ x),
@@ -211,8 +230,9 @@ def solve_lp(problem, max_iters=None, tol=REDUCED_COST_TOL, basis=None):
                       phase2_iterations=state.iterations - phase1_iterations,
                       degenerate_pivots=state.degenerate_pivots,
                       used_bland=state.bland,
-                      refreshes=state.refreshes - 1,
-                      max_residual=max(float(np.max(violation, initial=0.0)), 0.0))
+                      refreshes=state.refreshes - inverted,
+                      max_residual=max(float(np.max(violation, initial=0.0)), 0.0),
+                      inverted=inverted, binv=final_binv)
 
 
 def _with_unit_columns(a, slack_rows, sign, art_rows=(), art_sign=()):
@@ -242,18 +262,26 @@ def _internal_basis(basis, n, m, slack_col):
     return internal
 
 
-def _warm_state(a2, b, u, basis, feas_tol):
+def _warm_state(a2, b, u, basis, feas_tol, binv=None):
     """The simplex state at `basis` with every nonbasic variable at 0, or
-    None if B is singular or a basic value leaves its bounds."""
+    None if B is singular or a basic value leaves its bounds. A given
+    B^-1 is taken when B x_B matches b, an O(m^2) check; otherwise B is
+    inverted and B B^-1 checked against the identity, which is O(m^3)."""
     state = _SimplexState(a2=a2, b=b, u=u, basis=basis, n_total=a2.shape[1],
                           m=basis.size)
-    try:
-        state.refresh()
-    except np.linalg.LinAlgError:
-        return None
-    off = a2[:, basis] @ state.binv - np.eye(basis.size)
-    if not np.all(np.abs(off) <= SINGULAR_TOL):  # also catches nan
-        return None
+    if binv is not None:
+        state.refresh(binv)
+        miss = np.abs(a2[:, basis] @ state.xb - b)
+        if not np.all(miss <= SINGULAR_TOL * (1.0 + np.max(np.abs(b)))):
+            binv = None  # also on nan
+    if binv is None:
+        try:
+            state.refresh()
+        except np.linalg.LinAlgError:
+            return None
+        off = a2[:, basis] @ state.binv - np.eye(basis.size)
+        if not np.all(np.abs(off) <= SINGULAR_TOL):  # also catches nan
+            return None
     if np.any(state.xb < -feas_tol) or np.any(state.xb > u[basis] + feas_tol):
         return None
     return state
@@ -278,16 +306,20 @@ class _SimplexState:
     degenerate_run: int = 0
     degenerate_pivots: int = 0
 
-    def refresh(self):
-        """(Re)compute the basis inverse and basic values from scratch."""
+    def refresh(self, binv=None):
+        """(Re)compute the basis inverse, or take a copy of the given one,
+        and the basic values from scratch."""
         if self.at_upper is None:
             self.at_upper = np.zeros(self.n_total, dtype=bool)
         self.in_basis = np.zeros(self.n_total, dtype=bool)
         self.in_basis[self.basis] = True
-        self.binv = np.linalg.inv(self.a2[:, self.basis])
+        if binv is None:
+            self.binv = np.linalg.inv(self.a2[:, self.basis])
+            self.refreshes += 1
+        else:
+            self.binv = np.array(binv, dtype=float)
         self.xb = self.binv @ self._rhs_effective()
         self.pivots_since_refresh = 0
-        self.refreshes += 1
 
     def _rhs_effective(self):
         nb_up = self.at_upper & ~self.in_basis
@@ -379,7 +411,7 @@ def _run(state, c, allowed_up_to, max_iters, tol, phase):
 
         piv = alpha[leave_row]
         new_row = state.binv[leave_row] / piv
-        state.binv -= np.outer(alpha, new_row)
+        state.binv -= alpha[:, None] * new_row
         state.binv[leave_row] = new_row
         state.pivots_since_refresh += 1
         if state.pivots_since_refresh >= REFRESH_EVERY:
@@ -410,7 +442,7 @@ def _drive_out_artificials(state, n_real):
         state.at_upper[j] = False
         piv = alpha[row]
         new_row = state.binv[row] / piv
-        state.binv -= np.outer(alpha, new_row)
+        state.binv -= alpha[:, None] * new_row
         state.binv[row] = new_row
         changed = True
     if changed:

@@ -5,9 +5,12 @@ carry a positive capacity (traffic units) and a positive routing cost.
 Flows are ordered (source, destination) pairs; `flow_index` maps them onto
 the contiguous id range 0..N*(N-1)-1 used by selectors and the policy net.
 
-`shortest_distances` is the one shortest-path kernel: all-pairs distances
-under any link weights by min-plus squaring. ECMP, Frank-Wolfe's next
-links and the strong-connectivity check (every distance finite) use it.
+Two shortest-path kernels. `shortest_distances` gives all-pairs distances
+under one set of link weights by min-plus squaring; ECMP, Frank-Wolfe's
+next links and the strong-connectivity check (every distance finite) use
+it. `shortest_path_trees` grows K single-source trees at once, each under
+its own link weights, by a batched Bellman-Ford over the in-link table;
+the rerouting LP's seed paths and pricing use it.
 
 Text format (UTF-8, line oriented, `#` starts a comment):
 
@@ -71,6 +74,8 @@ class Topology:
     # its first link
     out_link_table: np.ndarray = field(init=False, repr=False)
     in_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # (N, max in-degree): row i holds in_links[i], padded likewise
+    in_link_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.links = tuple(Link(*lk) for lk in self.links)
@@ -91,6 +96,8 @@ class Topology:
         width = max(len(v) for v in out)
         self.out_link_table = np.array([v + v[:1] * (width - len(v)) for v in out])
         self.in_links = tuple(tuple(v) for v in inc)
+        width = max(len(v) for v in inc)
+        self.in_link_table = np.array([v + v[:1] * (width - len(v)) for v in inc])
 
     @property
     def link_count(self):
@@ -145,6 +152,56 @@ def shortest_distances(topo, weights):
         dist = (dist[:, :, None] + dist[None]).min(axis=1)
         hops *= 2
     return dist
+
+
+def shortest_path_trees(topo, sources, weights):
+    """(dist, pred), each (K, N): the shortest-path tree from sources[f]
+    under the link weights weights[f] (shape (K, M), all >= 0), for every
+    f at once. dist[f, v] is the least weight of a source-to-v path and
+    pred[f, v] the last link of one such path (-1 at the source).
+
+    A batched Bellman-Ford (Bellman 1958): every round, each node takes
+    the best of its in-links, over `topo.in_link_table`, applied to the
+    last round's distances, and changes its pred only where that is
+    strictly lower, so the preds form a tree even where weights are zero.
+    A node's pred is thus the last link of the first min-weight path
+    found, one of the fewest hops, and the lower in-link among those. A
+    path's weight is its left-to-right sum, as in Dijkstra's algorithm,
+    so the distances are the same floats.
+    """
+    k, n = len(sources), topo.node_count
+    table = topo.in_link_table.T  # row j: each node's j-th in-link
+    w_in = weights[:, table].transpose(1, 0, 2).copy()
+    # at[j, f, v]: the place in dist.reshape(-1) of the tail of v's j-th
+    # in-link in tree f
+    at = np.ascontiguousarray(topo.link_src[table][:, None, :]
+                              + n * np.arange(k)[:, None])
+    dist = np.full((k, n), np.inf)
+    dist[np.arange(k), sources] = 0.0
+    pred = np.full((k, n), -1)
+    for _ in range(n - 1):
+        via = dist.reshape(-1)[at] + w_in
+        best = via.min(axis=0)
+        better = best < dist
+        if not better.any():
+            break
+        f, v = np.nonzero(better)
+        dist[f, v] = best[f, v]
+        pred[f, v] = table[via[:, f, v].argmin(axis=0), v]
+    return dist, pred
+
+
+def tree_path(topo, pred, s, d):
+    """The links of the s -> d path in one shortest-path tree (a row of
+    shortest_path_trees' pred from source s), in order. A pred row that
+    does not lead back to s within N - 1 links raises ValueError."""
+    path = []
+    while d != s:
+        if len(path) == topo.node_count - 1 or pred[d] < 0:
+            raise ValueError(f"no tree path from {s} to {d}")
+        path.append(int(pred[d]))
+        d = topo.link_src[path[-1]]
+    return tuple(reversed(path))
 
 
 def flow_index(s, d, n):

@@ -12,10 +12,12 @@ destination, in link flows) instead of the path LP over every flow; a
 dual certificate checked from the LP's own data instead of the solver's
 word; Frank-Wolfe's all-or-nothing step as Floyd-Warshall and one loop over
 the nodes per destination, and its line search as plain bisection, in
-place of the vectorized step and the Newton search; scipy's HiGHS where
-scipy is installed.
+place of the vectorized step and the Newton search; one heap Dijkstra per
+flow instead of the batched Bellman-Ford that finds the seed paths and
+prices every flow at once; scipy's HiGHS where scipy is installed.
 """
 
+import heapq
 from collections import deque
 from itertools import combinations
 
@@ -132,6 +134,37 @@ def _routable(topo, background, s, d, demand, u):
     arcs = [(lk.src, lk.dst, topo.capacity[e] * u - background[e])
             for e, lk in enumerate(topo.links)]
     return max_flow(topo.node_count, arcs, s, d) >= demand - 1e-11
+
+
+def dijkstra_path(topo, s, d, weights):
+    """(links of a min-weight s->d path, its weight), weights >= 0.
+
+    The path is read from Dijkstra's predecessor tree, which is acyclic
+    even where weights are zero and distances tie.
+    """
+    w = weights.tolist()
+    dist = [np.inf] * topo.node_count
+    pred = [-1] * topo.node_count
+    dist[s] = 0.0
+    heap = [(0.0, s)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u == d:
+            break
+        if du > dist[u]:
+            continue
+        for e in topo.out_links[u]:
+            v = topo.links[e].dst
+            if du + w[e] < dist[v]:
+                dist[v] = du + w[e]
+                pred[v] = e
+                heapq.heappush(heap, (dist[v], v))
+    path = []
+    node = d
+    while node != s:
+        path.append(pred[node])
+        node = topo.links[pred[node]].src
+    return tuple(reversed(path)), dist[d]
 
 
 def simple_paths(topo, s, d, limit=10_000):

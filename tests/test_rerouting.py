@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from critflow import rerouting
+from critflow import rerouting, simplex
 from critflow.rerouting import build_path_lp
 from critflow.simplex import solve_lp
+from critflow.topology import shortest_path_trees, tree_path
 from conftest import ABILENE, tm_with
 from oracles import (build_optimum_lp, build_rerouting_lp, check_dual_certificate,
-                     destination_form_u, edge_form_u, highs_min, positive_cycle,
-                     simple_paths)
+                     destination_form_u, dijkstra_path, edge_form_u, highs_min,
+                     positive_cycle, simple_paths)
 
 
 def background_for(topo, tm, critical):
@@ -387,7 +388,9 @@ def test_no_phase_one_in_any_round(monkeypatch):
 def test_cold_path_lp_needs_phase_one_and_the_crash_basis_does_not():
     topo, tm, flows, bg = _abilene_case(13)
     flows = sorted(flows)
-    paths = {f: [rerouting._cheapest_path(topo, *f, topo.cost)[0]] for f in flows}
+    n, m = topo.node_count, topo.link_count
+    _, pred = shortest_path_trees(topo, np.arange(n), np.broadcast_to(topo.cost, (n, m)))
+    paths = {f: [tree_path(topo, pred[f[0]], *f)] for f in flows}
     problem = build_path_lp(topo, tm, flows, bg.load, paths,
                             cf.default_epsilon(topo, len(flows)))
     demand = np.array([tm.demand[f] for f in flows])
@@ -417,3 +420,97 @@ def test_rerouting_keeps_no_state_between_calls():
         assert again.paths == first.paths
         for f in first.sigma:
             assert np.array_equal(again.sigma[f], first.sigma[f])
+
+
+def test_flow_listed_twice_or_to_itself_rejected(ring5):
+    tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=1)[0]
+    bg = background_for(ring5, tm, [(0, 1)])
+    cf.solve_rerouting(ring5, tm, [(0, 1), (2, 4)], bg)
+    with pytest.raises(ValueError, match=r"flow \(0, 1\) is listed twice"):
+        cf.solve_rerouting(ring5, tm, [(0, 1), (2, 4), (0, 1)], bg)
+    with pytest.raises(ValueError, match=r"flow \(1, 1\)"):
+        cf.solve_rerouting(ring5, tm, [(0, 1), (1, 1)], bg)
+
+
+def _kernel_cases():
+    """(topology, per-flow link weights) over every flow: uniform weights,
+    pricing-like weights max(eps - y d / c, 0) with eps 1e-6 and with
+    eps 0 (mostly zero weights), and small integer weights (exact ties)."""
+    rng = np.random.default_rng(23)
+    topos = [cf.random_topology(n, int(rng.integers(0, n)), seed=int(rng.integers(100)))
+             for n in (4, 5, 6, 7, 8, 8)]
+    topos += [cf.load_topology(ABILENE), _ebone_sized()]
+    for topo in topos:
+        k, m = topo.flow_count, topo.link_count
+        demand = rng.uniform(0.1, 1.0, k)
+        y = np.where(rng.uniform(size=m) < 0.2, -rng.uniform(0.0, 1.0, m), 0.0)
+        yield topo, rng.uniform(0.0, 1.0, (k, m))
+        for eps in (1e-6, 0.0):
+            yield topo, np.maximum(eps - np.outer(demand, y / topo.capacity), 0.0)
+        yield topo, rng.integers(0, 3, (k, m)).astype(float)
+
+
+def test_batched_pricing_kernel_matches_dijkstra():
+    for topo, weights in _kernel_cases():
+        flows = topo.flows()
+        dist, pred = shortest_path_trees(topo, np.array([s for s, _ in flows]), weights)
+        for fi, (s, d) in enumerate(flows):
+            _, want = dijkstra_path(topo, s, d, weights[fi])
+            assert dist[fi, d] == pytest.approx(want, rel=1e-15, abs=0.0)
+            path = tree_path(topo, pred[fi], s, d)
+            nodes = [s] + [topo.links[e].dst for e in path]
+            assert nodes[-1] == d and len(set(nodes)) == len(nodes)
+            assert all(topo.links[e].src == u for e, u in zip(path, nodes))
+            weight = 0.0
+            for e in path:
+                weight += weights[fi, e]
+            assert weight == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _record_solves(monkeypatch):
+    """Every (problem, solution) that solve_rerouting's rounds make."""
+    solved = []
+
+    def record(problem, **kwargs):
+        solved.append((problem, solve_lp(problem, **kwargs)))
+        return solved[-1][1]
+    monkeypatch.setattr(rerouting, "solve_lp", record)
+    return solved
+
+
+def _reward_and_optimum_cases():
+    yield from _reward_cases()
+    topo = _ebone_sized()
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=3)[0]
+    yield topo, tm, [f for f in topo.flows() if tm.demand[f] > 0]
+
+
+def test_b_inverted_once_per_call(monkeypatch):
+    solved = _record_solves(monkeypatch)
+    calls = handed_over = 0
+    for topo, tm, flows in _reward_and_optimum_cases():
+        calls += 1
+        solved.clear()
+        sol = cf.solve_rerouting(topo, tm, flows, background_for(topo, tm, flows))
+        assert [s.inverted for _, s in solved] == [True] + [False] * (len(solved) - 1)
+        for _, s in solved:  # no inversion but the periodic refresh
+            assert s.refreshes <= s.iterations // simplex.REFRESH_EVERY
+        assert len(sol.round_columns) == len(sol.round_pivots) == len(solved)
+        assert sol.round_columns[0] == len(flows) and 0 not in sol.round_columns
+        assert sum(sol.round_columns) == sum(map(len, sol.paths.values()))
+        handed_over += len(solved) - 1
+    assert handed_over > calls  # more later rounds than calls
+
+
+def test_appended_lp_equals_built_lp(monkeypatch):
+    solved = _record_solves(monkeypatch)
+    for topo, tm, flows in _reward_cases():
+        solved.clear()
+        bg = background_for(topo, tm, flows)
+        sol = cf.solve_rerouting(topo, tm, flows, bg)
+        built = build_path_lp(topo, tm, sorted(flows), bg.load, sol.paths,
+                              cf.default_epsilon(topo, len(flows)))
+        last = solved[-1][0]
+        for name in ("c", "a", "b", "lower", "upper"):
+            assert np.array_equal(getattr(last, name), getattr(built, name)), name
+        assert last.rel == built.rel

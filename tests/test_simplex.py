@@ -229,3 +229,64 @@ def test_ratio_tie_leaves_smallest_basic_index():
     for s in (cold, warm):
         assert s.objective == pytest.approx(-1.0, abs=1e-12)
         assert (s.phase1_iterations, s.phase2_iterations, s.degenerate_pivots) == (0, 2, 1)
+
+
+def test_resolve_from_final_basis_and_inverse_takes_no_inversion():
+    for p, cold in _cold_and_basis_cases(7, 12):
+        assert cold.inverted and cold.binv.shape == (p.n_rows, p.n_rows)
+        warm = cf.solve_lp(p, basis=cold.basis, binv=cold.binv)
+        assert warm.iterations == 0 and not warm.inverted and warm.refreshes == 0
+        assert np.array_equal(warm.basis, cold.basis)
+        assert warm.x == pytest.approx(cold.x, abs=1e-12)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def test_corrupted_inverse_is_inverted_again():
+    for p, cold in _cold_and_basis_cases(13, 8):
+        binv = cold.binv
+        for bad in (binv * (1 + 1e-6), binv + 1e-3, binv[::-1],
+                    np.full_like(binv, np.nan)):
+            kept = bad.copy()
+            got = cf.solve_lp(p, basis=cold.basis, binv=bad)
+            assert got.inverted and got.iterations == 0
+            assert got.x == pytest.approx(cold.x, abs=1e-12)
+            assert np.array_equal(bad, kept, equal_nan=True)  # the caller's copy
+    p, cold = _cold_and_basis_cases(13, 1)[0]
+    m = p.n_rows
+    for basis, binv in ((None, cold.binv), (cold.basis, np.eye(m + 1))):
+        with pytest.raises(ValueError):
+            cf.solve_lp(p, basis=basis, binv=binv)
+
+
+def _column_chain(seed, m=6, n=24, rounds=4):
+    """A max-type LP (A > 0, b > 0, c < 0) whose columns arrive in rounds,
+    as in column generation: (LP over the first columns) per round."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 1.0, (m, n))
+    b = rng.uniform(1.0, 2.0, m)
+    c = rng.uniform(-1.0, 0.0, n)
+    sizes = np.linspace(n // rounds, n, rounds).astype(int)
+    return [cf.LpProblem(c=c[:j], a=a[:, :j], rel=["<="] * m, b=b) for j in sizes]
+
+
+@pytest.mark.parametrize("refresh_every", [1, simplex.REFRESH_EVERY])
+def test_handed_over_inverse_stays_accurate(monkeypatch, refresh_every):
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", refresh_every)
+    pivots = 0
+    for seed in range(6):
+        chain = _column_chain(seed)
+        basis = binv = None
+        for i, p in enumerate(chain):
+            s = cf.solve_lp(p, basis=basis, binv=binv)
+            assert s.inverted == (i == 0) and s.phase1_iterations == 0
+            assert s.refreshes == (s.iterations if refresh_every == 1 else 0)
+            a2 = np.hstack([p.a, np.eye(p.n_rows)])
+            drift = a2[:, s.basis] @ s.binv - np.eye(p.n_rows)
+            assert np.abs(drift).max() <= simplex.SINGULAR_TOL
+            # the appended columns shift only the slacks
+            added = chain[i + 1].n_vars - p.n_vars if i + 1 < len(chain) else 0
+            basis, binv = np.where(s.basis >= p.n_vars, s.basis + added, s.basis), s.binv
+            pivots += s.iterations
+        assert s.objective == pytest.approx(cf.solve_lp(chain[-1]).objective,
+                                            rel=1e-12, abs=1e-12)
+    assert pivots > 6 * len(chain)

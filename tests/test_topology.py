@@ -169,8 +169,10 @@ def test_derived_link_arrays():
     topo = cf.load_topology(ABILENE)
     assert topo.link_src.tolist() == [lk.src for lk in topo.links]
     assert topo.link_dst.tolist() == [lk.dst for lk in topo.links]
-    table = topo.out_link_table
-    assert table.shape == (topo.node_count, max(map(len, topo.out_links)))
-    for i, out in enumerate(topo.out_links):
-        # in link order, padded by repeating the first out-link
-        assert table[i].tolist() == list(out) + [out[0]] * (table.shape[1] - len(out))
+    for table, lists in ((topo.out_link_table, topo.out_links),
+                         (topo.in_link_table, topo.in_links)):
+        assert table.shape == (topo.node_count, max(map(len, lists)))
+        for i, links in enumerate(lists):
+            # in link order, padded by repeating the first link
+            pad = [links[0]] * (table.shape[1] - len(links))
+            assert table[i].tolist() == list(links) + pad
