@@ -11,8 +11,9 @@ The math runs on a stack of B matrices at once (`_forward_batch`,
 `_backward_batch`): im2col over the batch, so the convolution and each
 dense layer are one matmul, and a backward pass whose dlogits rows carry
 each sample's advantage and the step size, so that its matmuls also sum
-the gradient over the batch. `forward`, `gradients` and
-`selection_objective` are batches of one.
+the gradient over the batch. Training samples from one forward cache
+and hands the same cache to the backward pass. `forward`, `gradients`
+and `selection_objective` are batches of one.
 """
 
 from __future__ import annotations
@@ -216,11 +217,15 @@ def _forward_cached(params, tm):
     return _forward_batch(params, [tm])
 
 
-def forward_batch(params, tms):
-    """The action distribution of each matrix in `tms`, from one pass."""
-    cache = _forward_batch(params, tms)
+def _distributions(cache):
+    """The action distribution of each matrix of a forward cache."""
     return [ActionDistribution(probs=p, logits=l)
             for p, l in zip(cache["probs"], cache["logits"])]
+
+
+def forward_batch(params, tms):
+    """The action distribution of each matrix in `tms`, from one pass."""
+    return _distributions(_forward_batch(params, tms))
 
 
 def forward(params, tm):
@@ -245,7 +250,8 @@ def sample_solution(dist, k, rng):
     for _ in range(k):
         total = p.sum()
         if total <= 0:
-            remaining = [a for a in range(n_act) if a not in set(chosen)]
+            taken = set(chosen)
+            remaining = [a for a in range(n_act) if a not in taken]
             extra = rng.choice(len(remaining), size=k - len(chosen), replace=False)
             chosen.extend(remaining[int(i)] for i in extra)
             filled = True
@@ -270,10 +276,25 @@ def entropy(dist):
     return float(-np.sum(p * _log_probs(p)))
 
 
-def _backward_batch(params, cache, dlogits):
-    """Gradient of sum over b of dlogits[b] . logits[b], for the stack
-    that `cache` holds; each GEMM also sums over the batch. Raises on
-    non-finite values, naming the layer."""
+def _backward_batch(params, cache, solutions, advantages, beta, scale=1.0):
+    """scale * sum over the batch of the ascent gradient of
+    advantage * log pi(sol) + beta * H(pi), for the b-th matrix of the
+    stack that `cache` holds and the b-th solution and advantage. The
+    dlogits rows carry each sample's advantage and `scale`, so each GEMM
+    also sums over the batch. Raises on non-finite values, naming the
+    layer."""
+    probs = cache["probs"]
+    counts = np.zeros_like(probs)
+    k = np.empty((len(solutions), 1))
+    for row, sol in enumerate(solutions):
+        counts[row, list(sol.actions)] = 1.0
+        k[row] = len(sol.actions)
+    adv = np.asarray(advantages, dtype=float).reshape(-1, 1)
+    logp = _log_probs(probs)
+    h = -np.sum(probs * logp, axis=1, keepdims=True)
+    # d/dlogits of log pi(sol): counts - K * probs; of H: -probs*(logp + H)
+    dlogits = scale * (adv * (counts - k * probs) + beta * (-probs * (logp + h)))
+
     grads = {"fc2_w": cache["a2"].T @ dlogits, "fc2_b": dlogits.sum(axis=0)}
     dz2 = (dlogits @ params.fc2_w.T) * _leaky_grad(cache["z2"])
     grads["fc1_w"] = cache["flat"].T @ dz2
@@ -294,19 +315,8 @@ def batch_gradients(params, tms, solutions, advantages, beta, scale=1.0):
     advantage * log pi(sol) + beta * H(pi), for the b-th matrix, solution
     and advantage; one forward and one backward pass over the whole batch.
     """
-    cache = _forward_batch(params, tms)
-    probs = cache["probs"]
-    counts = np.zeros_like(probs)
-    k = np.empty((len(solutions), 1))
-    for row, sol in enumerate(solutions):
-        counts[row, list(sol.actions)] = 1.0
-        k[row] = len(sol.actions)
-    adv = np.asarray(advantages, dtype=float).reshape(-1, 1)
-    logp = _log_probs(probs)
-    h = -np.sum(probs * logp, axis=1, keepdims=True)
-    # d/dlogits of log pi(sol): counts - K * probs; of H: -probs*(logp + H)
-    dlogits = adv * (counts - k * probs) + beta * (-probs * (logp + h))
-    return _backward_batch(params, cache, scale * dlogits)
+    return _backward_batch(params, _forward_batch(params, tms), solutions,
+                           advantages, beta, scale)
 
 
 def gradients(params, tm, sol, advantage, beta):

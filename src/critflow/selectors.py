@@ -87,17 +87,12 @@ def top_k_critical(topo, tm, k, fractions=None):
     return SelectionResult(flows=tuple(flows), method="top_k_critical")
 
 
-def random_k(n_flows, k, seed, n=None):
-    """Uniform without-replacement sample of k flow ids."""
+def random_k(n_flows, k, seed, n):
+    """Uniform without-replacement sample of k flow ids of an n-node net."""
     if k > n_flows:
         raise SelectionError(f"k={k} exceeds flow count {n_flows}")
     rng = np.random.default_rng(seed)
     ids = rng.choice(n_flows, size=k, replace=False)
-    if n is None:
-        # recover n from n_flows = n*(n-1)
-        n = int((1 + np.sqrt(1 + 4 * n_flows)) / 2)
-        if n * (n - 1) != n_flows:
-            raise SelectionError(f"{n_flows} is not of the form n*(n-1)")
     flows = tuple(flow_of_index(int(a), n) for a in sorted(ids))
     return SelectionResult(flows=flows, method="random")
 

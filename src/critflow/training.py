@@ -4,10 +4,11 @@ One iteration samples a batch of traffic-matrix states, runs the policy
 once over the whole batch, draws one selection per state, scores each by
 1/U from the rerouting LP, subtracts the per-state average-reward
 baseline, and applies the entropy-regularized log-probability gradient,
-summed over the batch by one batched forward and backward pass. One
+summed over the batch by one backward pass over the sampling forward's
+activations. The step is added into the gradient's own arrays. One
 serial learner does all of this, and is bit-deterministic given the
-seed. Each iteration logs the time of its phases and its reward-cache
-hits.
+seed. Each iteration logs the time of its phases (`update_ms` covers the
+backward pass and the step) and its reward-cache hits.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import policy
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
-from .policy import (batch_gradients, entropy, forward_batch, init_params,
-                     sample_solution, save_checkpoint)
+from .policy import entropy, init_params, sample_solution, save_checkpoint
 # No longer called here, but kept as names of this module: the benchmark's
-# tracer (bench/tracing.py) wraps them here, and their spans now read 0.
+# tracer (bench/tracing.py) wraps them here, and their spans now read 0;
+# tests/test_imports.py checks that every name it wraps resolves.
 from .policy import forward, gradients  # noqa: F401
 from .rerouting import solve_rerouting
 from .topology import flow_of_index
@@ -87,7 +89,7 @@ class IterationRecord:
     forward_ms: float = 0.0   # drawing the batch, and its one forward pass
     sample_ms: float = 0.0    # drawing the selections
     reward_ms: float = 0.0    # rewards, through the cache
-    update_ms: float = 0.0    # the batched update, and the step it takes
+    update_ms: float = 0.0    # the backward pass, and the step it takes
     cache_hits: int = 0       # samples whose reward was already cached
     batch: list = field(default_factory=list, repr=False)
 
@@ -156,12 +158,19 @@ def _usable_train_ids(dataset):
     return ids
 
 
-def _accumulate_update(params, matrices, experiences, alpha, beta):
+def _update_from_cache(params, cache, experiences, alpha, beta):
     """alpha * sum over the batch of (grad log pi * advantage + beta grad H),
-    from one batched forward and backward pass."""
-    return batch_gradients(params, [matrices[e.state_id] for e in experiences],
-                           [e.solution for e in experiences],
-                           [e.advantage for e in experiences], beta, scale=alpha)
+    by one backward pass over the batch's forward cache."""
+    return policy._backward_batch(params, cache, [e.solution for e in experiences],
+                                  [e.advantage for e in experiences], beta,
+                                  scale=alpha)
+
+
+def _accumulate_update(params, matrices, experiences, alpha, beta):
+    """The same update, running the batch's forward pass again first."""
+    tms = [matrices[e.state_id] for e in experiences]
+    return _update_from_cache(params, policy._forward_batch(params, tms),
+                              experiences, alpha, beta)
 
 
 def _params_finite(params):
@@ -171,9 +180,9 @@ def _params_finite(params):
 def replay_update(params, experiences, matrices, config, iteration):
     """Recompute one iteration's parameter delta from logged experiences.
 
-    Runs the same batched update as training, over the experiences in
-    their logged order, so params + replay_update(...) reproduces the
-    next checkpoint bit for bit.
+    Runs the forward pass again over the experiences in their logged
+    order, then training's backward pass, so params + replay_update(...)
+    reproduces the next checkpoint bit for bit.
     """
     alpha = learning_rate(config, iteration)
     return _accumulate_update(params, matrices, experiences, alpha, config.beta)
@@ -185,7 +194,7 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
 
     Bit-deterministic given config.seed. Aborts (with a checkpoint of the
     last finite parameters, when a path is given) if an update produces
-    non-finite values.
+    non-finite values. Never writes to `init`.
     """
     matrices = dataset.matrices
     train_ids = _usable_train_ids(dataset)
@@ -207,7 +216,9 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         t0 = time.perf_counter()
         alpha = learning_rate(config, it)
         batch_ids = [int(i) for i in rng.choice(train_ids, size=config.batch_size)]
-        dists = forward_batch(params, [matrices[sid] for sid in batch_ids])
+        tms = [matrices[sid] for sid in batch_ids]
+        activations = policy._forward_batch(params, tms)
+        dists = policy._distributions(activations)
         t_forward = time.perf_counter()
         solutions = [sample_solution(dist, config.k, rng) for dist in dists]
         solutions = [drawn.setdefault((s.actions, s.filled_uniform), s) for s in solutions]
@@ -224,18 +235,23 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
                 v.setdefault(sid, 0.0)
                 visits.setdefault(sid, 0)
             experiences.append(Experience(sid, sol, r - b, r))
-        delta = _accumulate_update(params, matrices, experiences, alpha, config.beta)
-        new_params = params.add_scaled(delta, 1.0)
+        stepped = _update_from_cache(params, activations, experiences, alpha,
+                                     config.beta)
+        del activations  # before the next iteration's forward pass makes more
+        # params + delta in the delta's own arrays: the same bits as
+        # params.add_scaled(delta, 1.0), which rebuilds a step from a replay
+        for d, t in zip(stepped.tensors().values(), params.tensors().values()):
+            d += t
         t_update = time.perf_counter()
         for exp in experiences:
             v[exp.state_id] += exp.reward
             visits[exp.state_id] += 1
-        if not _params_finite(new_params):
+        if not _params_finite(stepped):
             if checkpoint_path:
                 save_checkpoint(checkpoint_path, params, iteration=it,
                                 baseline_v=v, baseline_n=visits)
             raise TrainingError(f"non-finite parameters at iteration {it}")
-        params = new_params
+        params = stepped
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.records.append(IterationRecord(
             iteration=it,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,13 +167,13 @@ def test_abort_on_nonfinite_params(tiny_instance, tmp_path, monkeypatch):
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=5, batch_size=2)
 
-    def poisoned(params, matrices, experiences, alpha, beta):
+    def poisoned(params, cache, experiences, alpha, beta):
         from critflow.policy import zeros_like_params
         delta = zeros_like_params(params)
         delta.conv_b[:] = np.nan
         return delta
 
-    monkeypatch.setattr("critflow.training._accumulate_update", poisoned)
+    monkeypatch.setattr("critflow.training._update_from_cache", poisoned)
     ckpt = tmp_path / "abort.npz"
     with pytest.raises(cf.TrainingError, match="non-finite"):
         cf.train(topo, dataset, config, checkpoint_path=ckpt)
@@ -292,12 +294,66 @@ def test_one_batched_pass_per_phase_per_iteration(tiny_instance, monkeypatch):
         calls.append(("forward", len(tms)))
         return forward_pass(params, tms)
 
-    def counted_backward(params, cache, dlogits):
-        calls.append(("backward", len(dlogits)))
-        return backward_pass(params, cache, dlogits)
+    def counted_backward(params, cache, *args, **kwargs):
+        calls.append(("backward", len(cache["probs"])))
+        return backward_pass(params, cache, *args, **kwargs)
 
     monkeypatch.setattr(policy, "_forward_batch", counted_forward)
     monkeypatch.setattr(policy, "_backward_batch", counted_backward)
     cf.train(topo, dataset, tiny_config(total_iterations=2, batch_size=7))
-    # per iteration: sampling's forward, then the update's forward and backward
-    assert calls == [("forward", 7), ("forward", 7), ("backward", 7)] * 2
+    # per iteration: one forward for sampling, whose activations the update's
+    # backward pass reuses
+    assert calls == [("forward", 7), ("backward", 7)] * 2
+
+
+def test_overflowing_step_aborts_with_last_finite_params(tiny_instance, tmp_path,
+                                                         monkeypatch):
+    """Each delta is finite, but the second step overflows to inf: the check
+    is on the stepped parameters, not on the delta alone."""
+    topo, dataset = tiny_instance
+    config = tiny_config(total_iterations=5, batch_size=2)
+    big = np.finfo(float).max
+
+    def overflowing(params, cache, experiences, alpha, beta):
+        delta = zeros_like_params(params)
+        delta.fc2_b[:] = big
+        return delta
+
+    monkeypatch.setattr("critflow.training._update_from_cache", overflowing)
+    ckpt = tmp_path / "abort.npz"
+    with pytest.raises(cf.TrainingError, match="non-finite"), np.errstate(over="ignore"):
+        cf.train(topo, dataset, config, checkpoint_path=ckpt)
+    params, iteration, _, _ = cf.load_checkpoint(ckpt)
+    assert iteration == 1
+    assert all(np.all(np.isfinite(t)) for t in params.tensors().values())
+    assert np.all(params.fc2_b == big)
+
+
+def test_train_never_writes_to_init(tiny_instance):
+    topo, dataset = tiny_instance
+    config = tiny_config(total_iterations=6, batch_size=4)
+    init = cf.init_params(topo.node_count, width=config.width, seed=3)
+    before = {name: t.tobytes() for name, t in init.tensors().items()}
+    trained, _ = cf.train(topo, dataset, config, init=init)
+    assert {name: t.tobytes() for name, t in init.tensors().items()} == before
+    assert not np.array_equal(trained.fc2_w, init.fc2_w)
+
+
+def test_training_peak_allocation_near_two_policies():
+    """Three Abilene iterations allocate at most about the parameters and
+    one gradient at once, besides the activations: the step is taken in
+    the gradient's arrays, not in new ones."""
+    topo, matrices = _abilene_instance()
+    dataset = cf.Dataset(matrices=matrices, train_indices=list(range(len(matrices))),
+                         test_indices=[], seed=0)
+    config = cf.TrainerConfig(batch_size=20, k=13, total_iterations=3, width=128,
+                              seed=1)
+    init = cf.init_params(topo.node_count, width=config.width, seed=7)
+    tracemalloc.start()
+    try:
+        cf.train(topo, dataset, config, init=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_in_fc1_w = peak / init.fc1_w.nbytes
+    assert peak_in_fc1_w < 3.3
