@@ -1,13 +1,15 @@
 """Evaluation metrics and the K sweep.
 
 Scores ECMP and both heuristics on a small synthetic test set (pr_u,
-pr_omega, rd), then sweeps K with the exhaustive selector to show how
+pr_omega, rd), shows how the delay optimum behind pr_omega was reached
+on one matrix, then sweeps K with the exhaustive selector to show how
 little rerouting buys near-optimal load balancing.
 """
 
 import numpy as np
 
 import critflow as cf
+import critflow.rerouting
 
 topo = cf.ring_with_chords()
 tms = cf.generate_tms(topo, "exponential", 5, target_ecmp_util=0.9, seed=40)
@@ -17,6 +19,14 @@ records, aggregates = cf.eval_suite(topo, tms, ["ecmp", "top_k", "top_k_critical
                                     k=2, include_delay=True)
 for (method, metric), (mean, std) in sorted(aggregates.items()):
     print(f"  {method:16s} {metric:9s} mean {mean:.4f} (std {std:.4f})")
+
+print("\n=== the delay optimum of one matrix ===")
+_, optimum = cf.solve_optimal_all_flows(topo, tms[0])
+omega, _, steps, gap, pool = critflow.rerouting._delay_optimum(
+    topo, tms[0], optimum, max_iters=5000, tol=1e-5)
+print(f"  omega {omega:.6f} after {steps} gradient-projection steps, relative "
+      f"duality gap {gap:.2e}, {pool} paths (the optimum's LP had "
+      f"{sum(map(len, optimum.paths.values()))})")
 
 print("\n=== K sweep with the exhaustive selector (diamond, 12 flows) ===")
 diamond = cf.diamond4()

@@ -143,12 +143,12 @@ def eval_suite(topo, matrices, methods, k, params=None, include_delay=True,
 
     for tm in matrices:
         began = time.perf_counter()
-        u_opt, opt_loads = solve_optimal_all_flows(topo, tm)
+        u_opt, optimum = solve_optimal_all_flows(topo, tm)
         timed(tm, "optimum", began)
         d_opt = None
         if include_delay:
             began = time.perf_counter()
-            d_opt = solve_delay_optimal(topo, tm, start=opt_loads)[0]
+            d_opt = solve_delay_optimal(topo, tm, start=optimum)[0]
             timed(tm, "delay_optimum", began)
         for method in methods:
             began = time.perf_counter()

@@ -45,17 +45,20 @@ matrix. No round needs a phase 1. Nothing is kept from one call to the
 next.
 
 Also here: the all-flows optimum, the network delay proxy sum(load /
-(capacity - load)), and its minimizer over all routings via Frank-Wolfe
-(the flow deviation method of Fratta, Gerla & Kleinrock 1973). The
-optimum is this same path LP over every flow with demand, over zero
-background. Frank-Wolfe starts from its loads. Each step is vectorized:
-the all-or-nothing direction takes every node's next link toward every
-destination from the all-pairs distances of topology.shortest_distances
-(ties to the earlier out-link) and pushes all demands down those links
-hop by hop with bincount; the line search takes bracketed Newton steps
-on the delay's slope until the bracket is two adjacent floats. It stops
-either on a small duality gap, which certifies the delay, or on a step
-that gains little, which does not (see solve_delay_optimal).
+(capacity - load)), and its minimizer over all routings by path-based
+gradient projection (Bertsekas & Gallager, Data Networks, 2nd ed. 1992,
+5.7; Gallager 1977). The optimum is this same path LP over every flow
+with demand, over zero background, and the delay minimizer starts from
+its path pools and shares. Each step updates every pair at once under
+the marginal delays w = c/(c-l)^2: a pair whose pool lacks a path as
+short as its distance (topology.shortest_distances) gains its
+shortest-path tree's path, and each other path p of the pair hands
+min(x_p, alpha (d_p - d_best) / H_p) to the pair's first cheapest path,
+d being path lengths under w and H_p the sum of 2c/(c-l)^3 over the
+links on exactly one of the two paths (a Newton step). alpha halves
+until the loads stay under capacity and the delay does not rise, and
+doubles back toward 1 after each step. The loop stops only on the
+Frank-Wolfe duality gap w.l - sum r dist, which certifies the delay.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class ReroutingSolution:
     objective: float       # LP objective (U + eps * sum sigma)
     link_loads: LinkLoads
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
+    # (s, d) -> the final LP's share of each path in paths[(s, d)]
+    shares: dict = field(default_factory=dict)
     # (phase-1, phase-2) pivots of each column-generation round's LP
     round_pivots: list = field(default_factory=list)
     # path columns each round's LP added to the last one (round 0: the seeds)
@@ -175,13 +180,12 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
                                  link_loads=loads)
     if epsilon is None:
         epsilon = default_epsilon(topo, len(flows))
-    m, n, k = topo.link_count, topo.node_count, len(flows)
+    m, k = topo.link_count, len(flows)
     src, dst = np.array(flows).T
     demand = tm.demand[src, dst]
     inv_cap = 1.0 / topo.capacity
-    # seeds: one min-cost tree from every node
-    _, pred = shortest_path_trees(topo, np.arange(n),
-                                  np.broadcast_to(topo.cost, (n, m)))
+    # seeds: each flow's path in the min-cost tree from its source
+    pred = topo.cost_tree_preds
     paths = {f: [tree_path(topo, pred[f[0]], *f)] for f in flows}
     problem = _path_lp(topo, flows, bg, *_path_columns(
         topo, demand, [(fi, paths[f][0]) for fi, f in enumerate(flows)], epsilon))
@@ -227,10 +231,11 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     np.add.at(ratios, (np.repeat(fis, hops), links), np.repeat(sol.x[1:], hops))
     load = bg + demand @ ratios
     sigma = dict(zip(flows, ratios))
+    shares = dict(zip(flows, np.split(sol.x[1:], ends[:-1] - 1)))
     loads = LinkLoads.from_load(load, topo.capacity)
     return ReroutingSolution(sigma=sigma, u=loads.max_utilization,
                              objective=sol.objective, link_loads=loads,
-                             paths=paths, round_pivots=round_pivots,
+                             paths=paths, shares=shares, round_pivots=round_pivots,
                              round_columns=round_columns)
 
 
@@ -254,11 +259,12 @@ def solve_optimal_all_flows(topo, tm):
     path LP of solve_rerouting over every flow with demand, so it starts
     from a crash basis and runs no phase 1.
 
-    Returns (u_opt, LinkLoads); u_opt is the loads' max utilization.
+    Returns (u_opt, ReroutingSolution); u_opt is its loads' max
+    utilization, and its path pools and shares start solve_delay_optimal.
     """
     flows = [f for f in topo.flows() if tm.demand[f] > 0]
-    loads = solve_rerouting(topo, tm, flows, np.zeros(topo.link_count)).link_loads
-    return loads.max_utilization, loads
+    sol = solve_rerouting(topo, tm, flows, np.zeros(topo.link_count))
+    return sol.u, sol
 
 
 def check_rerouting_feasibility(topo, tm, solution, background, tol=CONSERVATION_TOL):
@@ -294,171 +300,116 @@ def evaluate_delay(topo, loads):
     return float(np.sum(load / (cap - load)))
 
 
-TIE_TOL = 1e-15
+def _place(inc, pad, cols, slots):
+    """Write the (flow position, path) pairs in cols into the padded
+    incidence inc (K, W, M) at the given slots, and mark those live in pad."""
+    fis, hops, links = _flat_paths(cols)
+    inc[np.repeat(fis, hops), np.repeat(slots, hops), links] = 1.0
+    pad[fis, slots] = 0.0
 
 
-def _next_links(topo, weights):
-    """next_link[i, d]: the out-link of node i on its min-weight path to d
-    (-1 where i == d).
+def _delay_optimum(topo, tm, start, max_iters, tol):
+    """solve_delay_optimal's work; returns (omega, LinkLoads, steps taken,
+    final relative duality gap, paths in the pools at the end).
 
-    The distances to every destination come from `shortest_distances`.
-    Node i then takes the out-link e that attains the least
-    weights[e] + dist[dst_e, d], column by column over
-    `topo.out_link_table`: the earlier out-link wins unless a later one is
-    lower by more than TIE_TOL. The table's padding repeats a node's first
-    out-link, so it never wins. The sums can round differently from a
-    Dijkstra's, which matters only where two out-links tie to within
-    rounding.
+    Each flow's pool is a row of slots: inc[f, j] is the 0/1 link vector
+    of its j-th path (pool order, zero past the pool's end), x[f, j] that
+    path's flow and pad[f, j] 0 on a path, inf past the end, so that
+    inc @ w + pad is every path's length with padding never the cheapest.
     """
-    n = topo.node_count
-    table = topo.out_link_table
-    dist = shortest_distances(topo, weights)
-    via = weights[table][:, :, None] + dist[topo.link_dst[table]]
-    best, next_link = via[:, 0].copy(), np.repeat(table[:, :1], n, axis=1)
-    for j in range(1, table.shape[1]):
-        better = via[:, j] < best - TIE_TOL
-        np.copyto(best, via[:, j], where=better)
-        np.copyto(next_link, table[:, j:j + 1], where=better)
-    np.fill_diagonal(next_link, -1)
-    return next_link
-
-
-def _all_or_nothing(topo, demand, weights):
-    """Route every demand on a single min-weight path; aggregate link loads.
-
-    All demands move together hop by hop down the next links of
-    _next_links, one pair of bincounts per hop, at most N - 1 hops. The
-    mass is an N x N array, flattened: cell i*N + d holds what sits at
-    node i bound for d, and moves to cell dst*N + d, or to the sink cell
-    N*N once dst is d.
-    """
-    n, m = topo.node_count, topo.link_count
-    next_link = _next_links(topo, weights).reshape(-1)
-    dest = np.tile(np.arange(n), n)
-    head = topo.link_dst[next_link]
-    to_cell = np.where(head == dest, n * n, head * n + dest)
-    mass = np.array(demand, dtype=float).reshape(-1)
-    mass[::n + 1] = 0.0
-    loads = np.zeros(m)
-    for _ in range(n - 1):
-        live = np.flatnonzero(mass > 0)
-        if live.size == 0:
+    cap, m = topo.capacity, topo.link_count
+    if tm.total_demand() == 0:
+        return 0.0, LinkLoads.from_load(np.zeros(m), cap), 0, 0.0, 0
+    if start is None:
+        _, start = solve_optimal_all_flows(topo, tm)
+    if start.u >= 1.0 - 1e-12:
+        raise OverloadedInstanceError(
+            f"overloaded instance: best max utilization {start.u:.6f} >= 1")
+    flows = sorted(start.paths)
+    k, rows = len(flows), np.arange(len(flows))
+    src, dst = np.array(flows).T
+    demand = tm.demand[src, dst]
+    pools = [list(start.paths[f]) for f in flows]
+    width = max(map(len, pools))
+    inc, pad, x = np.zeros((k, width, m)), np.full((k, width), np.inf), np.zeros((k, width))
+    _place(inc, pad, [(fi, p) for fi, pool in enumerate(pools) for p in pool],
+           [j for pool in pools for j in range(len(pool))])
+    for fi, f in enumerate(flows):
+        # the LP's shares, clipped at 0 and scaled to carry the whole demand
+        share = np.maximum(start.shares[f], 0.0)
+        x[fi, :len(share)] = demand[fi] * share / share.sum()
+    load = x.reshape(-1) @ inc.reshape(-1, m)
+    omega, alpha = float(np.sum(load / (cap - load))), 1.0
+    for steps in range(max_iters + 1):
+        room = cap - load
+        w = cap / room ** 2
+        dist = shortest_distances(topo, w)[src, dst]
+        gap = float(w @ load - demand @ dist)  # Omega - Omega* <= gap
+        if gap <= tol * omega:
+            return (omega, LinkLoads.from_load(load, cap), steps, gap / omega,
+                    sum(map(len, pools)))
+        if steps == max_iters:
             break
-        amount = mass[live]
-        loads += np.bincount(next_link[live], weights=amount, minlength=m)
-        mass = np.bincount(to_cell[live], weights=amount, minlength=n * n + 1)[:-1]
-    return loads
+        d = inc @ w + pad
+        # a pool path within rounding of the distance is a shortest one
+        short = np.flatnonzero(d.min(axis=1) > dist * (1 + 1e-12))
+        if short.size:
+            _, pred = shortest_path_trees(topo, src[short],
+                                          np.broadcast_to(w, (short.size, m)))
+            new, slots = [], []
+            for i, fi in enumerate(short):
+                path = tree_path(topo, pred[i], src[fi], dst[fi])
+                if path not in pools[fi]:
+                    slots.append(len(pools[fi]))
+                    pools[fi].append(path)
+                    new.append((fi, path))
+            if new:
+                grow = max(map(len, pools)) - width
+                if grow:
+                    width += grow
+                    inc = np.pad(inc, ((0, 0), (0, grow), (0, 0)))
+                    pad = np.pad(pad, ((0, 0), (0, grow)), constant_values=np.inf)
+                    x = np.pad(x, ((0, 0), (0, grow)))
+                _place(inc, pad, new, slots)
+                d = inc @ w + pad
+        best = d.argmin(axis=1)  # each flow's first cheapest path
+        # the delay's second derivative along a shift onto the best path:
+        # h = 2c/(c-l)^3 summed over the links on exactly one of the two
+        hess = np.abs(inc - inc[rows, best][:, None]) @ (2.0 * w / room)
+        hess[rows, best] = np.inf
+        newton = (d - d[rows, best][:, None]) / hess
+        while True:
+            shift = np.minimum(x, alpha * newton)
+            trial = x - shift
+            trial[rows, best] += shift.sum(axis=1)
+            trial_load = trial.reshape(-1) @ inc.reshape(-1, m)
+            if np.all(trial_load < cap):
+                trial_omega = float(np.sum(trial_load / (cap - trial_load)))
+                if trial_omega <= omega:
+                    break
+            alpha *= 0.5
+        x, load, omega = trial, trial_load, trial_omega
+        alpha = min(1.0, 2.0 * alpha)
+    raise RuntimeError(f"delay optimum not certified after max_iters={max_iters} "
+                       f"steps: relative duality gap {gap / omega:.3g} > tol={tol}")
 
 
-def _line_search(load, step_dir, cap, t_ub):
-    """Frank-Wolfe's step length along step_dir (s) from load (l): t_ub
-    when the delay still falls there, else the largest float t in
-    [0, t_ub) with dphi(t) <= 0 < dphi(the next float after t), where
+def solve_delay_optimal(topo, tm, start=None, max_iters=5000, tol=1e-5):
+    """Minimize the delay proxy over all feasible routings by path-based
+    gradient projection.
 
-        dphi(t)  = sum s c / (c - l - t s)^2
-        dphi'(t) = sum 2 s^2 c / (c - l - t s)^3
-
-    is the delay's slope along the step; it rises with t (0 if dphi(0) > 0
-    already). The search keeps a bracket lo < hi with
-    dphi(lo) <= 0 < dphi(hi), from [0, t_ub], and ends when lo and hi are
-    adjacent floats. Each point is a Newton step from the last one, scaled
-    by `reach`: Newton tends to close in on the root from one side, so
-    reach doubles each time a point lands on the same side as the last,
-    until one lands across. A step shorter than reach float spacings is
-    lengthened to that, and a point outside the bracket is replaced by its
-    midpoint.
-    """
-    sc, s2 = step_dir * cap, 2.0 * step_dir
-
-    def slope(t):
-        gap = cap - (load + t * step_dir)
-        g = sc / gap ** 2
-        return float(g.sum()), float(g @ (s2 / gap))
-
-    f, df = slope(t_ub)
-    if f <= 0:
-        return t_ub
-    t, above, reach = 0.0, False, 1.0
-    f, df = slope(t)
-    if f > 0:
-        return 0.0    # no step lowers the delay
-    lo, hi = 0.0, t_ub
-    while np.nextafter(lo, hi) < hi:
-        step = -reach * f / df
-        shortest = reach * float(np.spacing(t))
-        if abs(step) < shortest:
-            step = shortest if f <= 0 else -shortest
-        x = t + step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        f, df = slope(x)
-        reach = 2.0 * reach if (f > 0) == above else 1.0
-        above = f > 0
-        if above:
-            hi = x
-        else:
-            lo = x
-        t = x
-    return lo
-
-
-def solve_delay_optimal(topo, tm, start=None, max_iters=500, tol=1e-5):
-    """Minimize the delay proxy over all feasible routings via Frank-Wolfe.
-
-    Starts from `start`, the LinkLoads of the min-max-utilization optimum
-    (solved here when not given), which must leave every link strictly
-    under capacity, else the instance is overloaded. Each step routes
-    everything on shortest paths under the marginal-delay weights
-    c/(c-l)^2 and line-searches toward that corner. Both are a few numpy
-    operations: _all_or_nothing finds every node's next link toward every
-    destination at once (ties go to the earlier out-link) and pushes all
-    demands hop by hop; _line_search runs bracketed Newton steps on the
-    delay's slope down to adjacent floats.
-
-    The loop stops at the first of: a duality gap within relative `tol`
-    (the gap then certifies the value to within `tol` of the minimum), a
-    step that lowers the delay by less than relative `tol`, or `max_iters`
-    steps. Only the first is a certificate: after the other two the value
-    can lie well above the minimum (from the optimum's loads, up to about
-    0.55% on 8-node random nets and 0.95% on the 5-node ring with chords
-    at ECMP utilization 0.9, over 100 matrices each). It is always the
-    delay of a feasible routing, so never below the minimum.
+    Starts from `start`, the all-flows optimum's ReroutingSolution (solved
+    here when not given): its path pools and shares. Its max utilization
+    must lie strictly under 1, else the instance is overloaded. Each step
+    moves flow in every pair at once (see the module docstring). The loop
+    stops only when the Frank-Wolfe duality gap w.l - sum r dist is within
+    relative `tol` of the delay, which then lies within `tol` of the
+    minimum (and, as the delay of a feasible routing, never below it).
+    After `max_iters` steps without that certificate it raises
+    RuntimeError; on 480 matrices of an 8-node, 28-link net at ECMP
+    utilization 0.9 it took at most 362 steps.
 
     Returns (omega, LinkLoads).
     """
-    cap = topo.capacity
-    if tm.total_demand() == 0:
-        zeros = LinkLoads.from_load(np.zeros(topo.link_count), cap)
-        return 0.0, zeros
-    if start is None:
-        _, start = solve_optimal_all_flows(topo, tm)
-    if start.max_utilization >= 1.0 - 1e-12:
-        raise OverloadedInstanceError(
-            f"overloaded instance: best max utilization {start.max_utilization:.6f} >= 1")
-    load = start.load.copy()
-    omega = float(np.sum(load / (cap - load)))
-    for _ in range(max_iters):
-        w = cap / (cap - load) ** 2
-        target = _all_or_nothing(topo, tm.demand, w)
-        step_dir = target - load
-        gap = float(-w @ step_dir)  # Omega(load) - Omega* <= gap
-        if gap <= tol * max(omega, 1e-12):
-            break
-        # largest step keeping strictly below capacity
-        rising = step_dir > 0
-        if np.any(rising):
-            t_ub = min(1.0, float(np.min(
-                (cap[rising] - load[rising]) / step_dir[rising])) * (1 - 1e-9))
-        else:
-            t_ub = 1.0
-
-        t = _line_search(load, step_dir, cap, t_ub)
-        if t <= 0:
-            break
-        load = load + t * step_dir
-        new_omega = float(np.sum(load / (cap - load)))
-        improved = omega - new_omega
-        omega = new_omega
-        if improved < tol * max(omega, 1e-12):
-            break
-    return omega, LinkLoads.from_load(load, cap)
+    omega, loads, *_ = _delay_optimum(topo, tm, start, max_iters, tol)
+    return omega, loads

@@ -6,11 +6,13 @@ Flows are ordered (source, destination) pairs; `flow_index` maps them onto
 the contiguous id range 0..N*(N-1)-1 used by selectors and the policy net.
 
 Two shortest-path kernels. `shortest_distances` gives all-pairs distances
-under one set of link weights by min-plus squaring; ECMP, Frank-Wolfe's
-next links and the strong-connectivity check (every distance finite) use
-it. `shortest_path_trees` grows K single-source trees at once, each under
-its own link weights, by a batched Bellman-Ford over the in-link table;
-the rerouting LP's seed paths and pricing use it.
+under one set of link weights by min-plus squaring; ECMP, the delay
+optimum's duality gap and the strong-connectivity check (every distance
+finite) use it. `shortest_path_trees` grows K single-source trees at once,
+each under its own link weights, by a batched Bellman-Ford over the
+in-link table; the rerouting LP's pricing and the delay optimum's new
+paths use it, and `Topology.cost_tree_preds` keeps the min-cost trees
+from every node, the rerouting LP's seed paths, once per topology.
 
 Text format (UTF-8, line oriented, `#` starts a comment):
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,11 +73,9 @@ class Topology:
     link_dst: np.ndarray = field(init=False, repr=False)
     link_index: dict[tuple[int, int], int] = field(init=False, repr=False)
     out_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    # (N, max out-degree): row i holds out_links[i], padded by repeating
-    # its first link
-    out_link_table: np.ndarray = field(init=False, repr=False)
     in_links: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    # (N, max in-degree): row i holds in_links[i], padded likewise
+    # (N, max in-degree): row i holds in_links[i], padded by repeating its
+    # first link
     in_link_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -93,11 +94,19 @@ class Topology:
             out[lk.src].append(i)
             inc[lk.dst].append(i)
         self.out_links = tuple(tuple(v) for v in out)
-        width = max(len(v) for v in out)
-        self.out_link_table = np.array([v + v[:1] * (width - len(v)) for v in out])
         self.in_links = tuple(tuple(v) for v in inc)
         width = max(len(v) for v in inc)
         self.in_link_table = np.array([v + v[:1] * (width - len(v)) for v in inc])
+
+    @cached_property
+    def cost_tree_preds(self):
+        """shortest_path_trees' pred from every node under the link costs
+        (row s: the min-cost tree from s), computed on first use; read-only."""
+        n = self.node_count
+        _, pred = shortest_path_trees(self, np.arange(n),
+                                      np.broadcast_to(self.cost, (n, self.link_count)))
+        pred.flags.writeable = False
+        return pred
 
     @property
     def link_count(self):

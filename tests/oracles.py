@@ -10,11 +10,12 @@ link, with conservation rows) instead of column generation over paths;
 the destination form of the all-flows optimum (one commodity per
 destination, in link flows) instead of the path LP over every flow; a
 dual certificate checked from the LP's own data instead of the solver's
-word; Frank-Wolfe's all-or-nothing step as Floyd-Warshall and one loop over
-the nodes per destination, and its line search as plain bisection, in
-place of the vectorized step and the Newton search; one heap Dijkstra per
-flow instead of the batched Bellman-Ford that finds the seed paths and
-prices every flow at once; scipy's HiGHS where scipy is installed.
+word; Frank-Wolfe (all-or-nothing steps by Floyd-Warshall and one loop
+over the nodes per destination, line search by plain bisection) as an
+upper reference for the gradient-projection delay optimum, and Kelley's
+cutting planes solved by HiGHS as a lower bound on it; one heap Dijkstra
+per flow instead of the batched Bellman-Ford that finds the seed paths
+and prices every flow at once; scipy's HiGHS where scipy is installed.
 """
 
 import heapq
@@ -463,9 +464,13 @@ def bisection_line_search(load, step_dir, cap, t_ub, halvings=80):
 
 
 def frank_wolfe_oracle(topo, tm, start, max_iters=500, tol=1e-5):
-    """solve_delay_optimal's loop, with the same stopping rules, over
-    all_or_nothing_oracle and bisection_line_search. Returns (omega, load,
-    steps), steps counting the all-or-nothing directions computed."""
+    """Frank-Wolfe (the flow deviation method of Fratta, Gerla & Kleinrock
+    1973) from the loads of `start`, over all_or_nothing_oracle and
+    bisection_line_search. It stops at the first of a duality gap within
+    relative `tol`, a step that gains less than that, or `max_iters`
+    steps, so its delay is feasible but can lie above the minimum.
+    Returns (omega, load, steps), steps counting the all-or-nothing
+    directions computed."""
     cap = topo.capacity
     load = start.load.copy()
     omega = float(np.sum(load / (cap - load)))
@@ -491,6 +496,67 @@ def frank_wolfe_oracle(topo, tm, start, max_iters=500, tol=1e-5):
         if improved < tol * max(omega, 1e-12):
             break
     return omega, load, steps
+
+
+def delay_lower_bound_kelley(topo, tm, rtol=1e-6, max_rounds=100):
+    """A lower bound on the minimum over all routings of the delay
+    sum_e f_e(l_e), f_e(l) = l / (c_e - l), certified within relative rtol
+    of that minimum, from scipy's HiGHS.
+
+    Kelley's cutting planes over link flows, one commodity per source: f_e
+    is convex, so each tangent z_e >= f_e(a) + f_e'(a) (l_e - a) lies below
+    it, and min sum_e z_e over every routing subject to any set of tangents
+    is a lower bound. The first tangents sit at fixed shares of capacity;
+    each round adds those at the LP's own loads, whose delay, when they lie
+    under capacity, is an upper bound. It returns once the two meet.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    n, m, cap = topo.node_count, topo.link_count, topo.capacity
+    sources = [s for s in range(n) if np.any(tm.demand[s] > 0)]
+    if not sources:
+        return 0.0
+    k = len(sources)
+    inc = np.zeros((n, m))  # +1 where the link leaves the node, -1 where it enters
+    inc[topo.link_src, np.arange(m)] = 1.0
+    inc[topo.link_dst, np.arange(m)] = -1.0
+    a_eq = sparse.hstack([sparse.block_diag([sparse.csr_matrix(inc)] * k),
+                          sparse.csr_matrix((k * n, m))]).tocsr()
+    b_eq = []
+    for s in sources:
+        out = -tm.demand[s].astype(float)
+        out[s] = tm.demand[s].sum()
+        b_eq.append(out)
+    b_eq = np.concatenate(b_eq)
+    c = np.concatenate([np.zeros(k * m), np.ones(m)])
+    link = np.tile(np.arange(m), 6)
+    at = np.concatenate([share * cap for share in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99)])
+    upper = np.inf
+    for _ in range(max_rounds):
+        ce = cap[link]
+        slope = ce / (ce - at) ** 2
+        rows = np.arange(len(link))
+        # slope * sum over sources of x[s, e] - z_e <= slope * a - f(a)
+        a_ub = sparse.csr_matrix(
+            (np.concatenate([np.repeat(slope, k), -np.ones(len(link))]),
+             (np.concatenate([np.repeat(rows, k), rows]),
+              np.concatenate([(link[:, None] + m * np.arange(k)).ravel(), k * m + link]))),
+            shape=(len(link), (k + 1) * m))
+        res = linprog(c, A_ub=a_ub, b_ub=slope * at - at / (ce - at), A_eq=a_eq,
+                      b_eq=b_eq, bounds=(0, None), method="highs-ds",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS status {res.status}: {res.message}")
+        lower = float(res.fun)
+        load = res.x[:k * m].reshape(k, m).sum(axis=0)
+        if np.all(load < cap):
+            upper = min(upper, float(np.sum(load / (cap - load))))
+        if upper - lower <= rtol * lower:
+            return lower
+        link = np.concatenate([link, np.arange(m)])
+        at = np.concatenate([at, np.minimum(load, 0.999 * cap)])
+    raise RuntimeError(f"delay bounds {lower!r}, {upper!r} after {max_rounds} rounds")
 
 
 def top_k_critical_walk(topo, tm, k, frac, traversal_eps=1e-12):

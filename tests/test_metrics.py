@@ -173,8 +173,8 @@ def count_optimum_calls(monkeypatch):
 
 def test_eval_one_solves_optimum_once(ring5, ring5_tms, monkeypatch):
     tm = ring5_tms[2]
-    u_opt, loads = cf.solve_optimal_all_flows(ring5, tm)
-    omega_opt, _ = cf.solve_delay_optimal(ring5, tm, start=loads)
+    u_opt, optimum = cf.solve_optimal_all_flows(ring5, tm)
+    omega_opt, _ = cf.solve_delay_optimal(ring5, tm, start=optimum)
     calls = count_optimum_calls(monkeypatch)
     rec = cf.eval_one(ring5, tm, cf.top_k(tm, 3), include_delay=True)
     assert calls == [tm.id]

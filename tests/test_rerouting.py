@@ -59,16 +59,17 @@ def test_optimal_bounded_by_ecmp(ring5):
 
 def test_zero_tm_optimal_zero(ring5):
     tm = cf.TrafficMatrix(5, np.zeros((5, 5)))
-    u_opt, loads = cf.solve_optimal_all_flows(ring5, tm)
+    u_opt, optimum = cf.solve_optimal_all_flows(ring5, tm)
     assert u_opt == 0.0
-    assert loads.max_utilization == 0.0
-    assert np.all(loads.load == 0)
+    assert optimum.link_loads.max_utilization == 0.0
+    assert np.all(optimum.link_loads.load == 0)
 
 
 def assert_optimum_matches_destination_form(topo, tm):
     """The optimum (the path LP over every flow with zero background)
     against the destination-form oracle, and its loads against U."""
-    u, loads = cf.solve_optimal_all_flows(topo, tm)
+    u, optimum = cf.solve_optimal_all_flows(topo, tm)
+    loads = optimum.link_loads
     assert u == pytest.approx(destination_form_u(topo, tm), rel=1e-9, abs=0.0)
     assert loads.max_utilization == u
     assert np.all(loads.load >= -1e-9)
@@ -199,6 +200,13 @@ def test_solution_pools_rebuild_the_last_lp(ring5):
     for f, pool in sol.paths.items():
         assert len(set(pool)) == len(pool)
         assert all(p in simple_paths(ring5, *f) for p in pool)
+        # the shares sum the flow's ratios on every link
+        assert len(sol.shares[f]) == len(pool)
+        assert sum(sol.shares[f]) == pytest.approx(1.0, abs=1e-9)
+        ratios = np.zeros(ring5.link_count)
+        for p, share in zip(pool, sol.shares[f]):
+            ratios[list(p)] += share
+        np.testing.assert_allclose(ratios, sol.sigma[f], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3, "all"])

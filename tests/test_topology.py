@@ -169,10 +169,9 @@ def test_derived_link_arrays():
     topo = cf.load_topology(ABILENE)
     assert topo.link_src.tolist() == [lk.src for lk in topo.links]
     assert topo.link_dst.tolist() == [lk.dst for lk in topo.links]
-    for table, lists in ((topo.out_link_table, topo.out_links),
-                         (topo.in_link_table, topo.in_links)):
-        assert table.shape == (topo.node_count, max(map(len, lists)))
-        for i, links in enumerate(lists):
-            # in link order, padded by repeating the first link
-            pad = [links[0]] * (table.shape[1] - len(links))
-            assert table[i].tolist() == list(links) + pad
+    table = topo.in_link_table
+    assert table.shape == (topo.node_count, max(map(len, topo.in_links)))
+    for i, links in enumerate(topo.in_links):
+        # in link order, padded by repeating the first link
+        pad = [links[0]] * (table.shape[1] - len(links))
+        assert table[i].tolist() == list(links) + pad
