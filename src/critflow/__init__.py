@@ -19,7 +19,7 @@ from .ecmp import (EcmpFractions, LinkLoads, compute_ecmp_fractions,
 from .simplex import (LpProblem, LpSolution, solve_lp, lp_to_text, dump_lp,
                       LpError, LpInfeasibleError, LpUnboundedError,
                       LpIterationLimitError)
-from .rerouting import (ReroutingSolution, solve_rerouting,
+from .rerouting import (ReroutingSolution, solve_rerouting, solve_rerouting_batch,
                         solve_optimal_all_flows, check_rerouting_feasibility,
                         evaluate_delay, solve_delay_optimal,
                         OverloadedInstanceError, default_epsilon)

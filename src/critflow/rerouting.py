@@ -32,17 +32,23 @@ the LP over the paths in hand is optimal over all paths. A flow's split
 ratio on a link (`sigma`) is the sum of its paths' shares through that
 link, so it carries no cycle.
 
-One LP per call, re-optimized from its last basis as columns arrive
-(Lübbecke & Desrosiers 2005). The first round starts from a crash basis
-(Bixby 1992): every flow on its seed path, U at the seed routing's max
-utilization, basic in that link's capacity row, and the slacks of the
-other capacity rows; it is the only round that inverts B. Each later
-round inserts its new path columns after their flows' pools, in the
-order build_path_lp gives them, and starts from the previous round's
-optimal basis, renumbered around them, and its B^-1: the new paths enter
-nonbasic at 0, so the basis stays primal feasible and B stays the same
-matrix. No round needs a phase 1. Nothing is kept from one call to the
-next.
+Many LPs of one K are solved in lockstep (solve_rerouting_batch; a
+single call is its batch of one): one stack of path LPs, each
+re-optimized from its last basis as columns arrive (Lübbecke &
+Desrosiers 2005). Each round makes one solve_lp call over the LPs still
+pricing and one shortest_path_trees pass over all their flows; an LP
+leaves the stack once no path prices below zero. The first round starts
+from a crash basis (Bixby 1992): every flow on its seed path, U at the
+seed routing's max utilization, basic in that link's capacity row, and
+the slacks of the other capacity rows, whose B^-1 has a closed form.
+Each later round inserts its new path columns into the stack's column
+store after their flows' pools, in the order build_path_lp gives them,
+and starts from the previous round's optimal basis, renumbered around
+them, and its B^-1: the new paths enter nonbasic at 0, so the basis
+stays primal feasible and B stays the same matrix. No round needs a
+phase 1 or inverts B. An LP narrower than the stack is padded with
+zero columns fixed at 0 after its own, and gets the bits it gets alone.
+Nothing is kept from one call to the next.
 
 Also here: the all-flows optimum, the network delay proxy sum(load /
 (capacity - load)), and its minimizer over all routings by path-based
@@ -110,17 +116,19 @@ def _flat_paths(cols):
 
 
 def _path_columns(topo, demand, cols, epsilon):
-    """The path LP's columns for the (flow position, path) pairs in cols,
-    as (A block, costs): the flow's demand (demand[flow position]) over
-    capacity on the path's capacity rows, 1 on its convexity row, cost
-    eps per hop."""
-    m = topo.link_count
+    """The path LP's columns for the (flow, path) pairs in cols, one row
+    each, and their costs: the flow's demand over capacity on the path's
+    capacity rows, 1 on the flow's convexity row, cost eps per hop. For
+    a (K,) demand a flow is its position; for a stack's (B, K) demand,
+    LP * K + its position in that LP."""
+    m, k = topo.link_count, demand.shape[-1]
     fis, hops, links = _flat_paths(cols)
     j = np.arange(len(cols))
-    a = np.zeros((m + len(demand), len(cols)))
-    a[links, np.repeat(j, hops)] = np.repeat(demand[fis], hops) / topo.capacity[links]
-    a[m + fis, j] = 1.0
-    return a, epsilon * hops
+    rows = np.zeros((len(cols), m + k))
+    rows[np.repeat(j, hops), links] = (np.repeat(demand.reshape(-1)[fis], hops)
+                                       / topo.capacity[links])
+    rows[j, m + fis % k] = 1.0
+    return rows, epsilon * hops
 
 
 def _path_lp(topo, flows, background_load, a_paths, c_paths, names=None):
@@ -146,8 +154,8 @@ def build_path_lp(topo, tm, flows, background_load, paths, epsilon):
         hops = "_".join(str(topo.links[e].src) for e in p)
         names.append(f"x{s}_{d}__{hops}_{d}")
     demand = np.array([tm.demand[f] for f in flows])
-    return _path_lp(topo, flows, background_load,
-                    *_path_columns(topo, demand, cols, epsilon), names=names)
+    rows, costs = _path_columns(topo, demand, cols, epsilon)
+    return _path_lp(topo, flows, background_load, rows.T, costs, names=names)
 
 
 def _check_flows(flows):
@@ -159,6 +167,11 @@ def _check_flows(flows):
             raise ValueError(f"flow ({s}, {d}) is listed twice")
 
 
+def _load_vector(background):
+    return np.asarray(background.load if isinstance(background, LinkLoads)
+                      else background, dtype=float)
+
+
 def solve_rerouting(topo, tm, critical, background, epsilon=None):
     """Optimal split ratios for the flows in `critical` given fixed
     background loads (from ECMP with those flows excluded).
@@ -167,91 +180,196 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     returned `paths` hold each flow's final pool, so
     build_path_lp(topo, tm, sorted(critical), background, paths, epsilon)
     is the last LP solved. A flow listed twice, or from a node to itself,
-    raises ValueError.
+    raises ValueError. This is solve_rerouting_batch's batch of one.
     """
-    bg = np.asarray(background.load if isinstance(background, LinkLoads)
-                    else background, dtype=float)
-    flows = sorted(critical)
-    _check_flows(flows)
-    if not flows:
-        loads = LinkLoads.from_load(bg, topo.capacity)
-        return ReroutingSolution(sigma={}, u=loads.max_utilization,
-                                 objective=loads.max_utilization,
-                                 link_loads=loads)
+    return solve_rerouting_batch(topo, [tm], [critical], [background], epsilon)[0]
+
+
+def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
+    """solve_rerouting for each (matrix, critical flows, background)
+    triple, as one stack of path LPs; every critical set has the same
+    size K, else ValueError.
+
+    Each round solves the LPs still pricing in one solve_lp call, each
+    from its own basis and B^-1, and prices all their flows in one
+    shortest_path_trees pass; an LP leaves the stack once no path prices
+    below zero. The new columns go into the stack's column store in
+    place, each after its flow's pool. Every solution has the bits it has
+    when solved alone. Returns one ReroutingSolution per triple.
+    """
+    bgs = [_load_vector(bg) for bg in backgrounds]
+    flows = [sorted(c) for c in criticals]
+    if not len(tms) == len(flows) == len(bgs):
+        raise ValueError("one matrix, critical set and background per LP")
+    for f in flows:
+        _check_flows(f)
+    k = len(flows[0]) if flows else 0
+    if any(len(f) != k for f in flows):
+        raise ValueError("the critical sets of one batch must have one size")
+    if k == 0:
+        return [_background_only(topo, bg) for bg in bgs]
     if epsilon is None:
-        epsilon = default_epsilon(topo, len(flows))
-    m, k = topo.link_count, len(flows)
-    src, dst = np.array(flows).T
-    demand = tm.demand[src, dst]
+        epsilon = default_epsilon(topo, k)
+    m, size = topo.link_count, len(flows)
     inv_cap = 1.0 / topo.capacity
+    src, dst = np.array(flows).transpose(2, 0, 1)  # (B, K) each
+    demand = np.array([tm.demand[s, d] for tm, s, d in zip(tms, src, dst)])
     # seeds: each flow's path in the min-cost tree from its source
     pred = topo.cost_tree_preds
-    paths = {f: [tree_path(topo, pred[f[0]], *f)] for f in flows}
-    problem = _path_lp(topo, flows, bg, *_path_columns(
-        topo, demand, [(fi, paths[f][0]) for fi, f in enumerate(flows)], epsilon))
-    basis, binv = _crash_basis(topo, flows, paths, demand, bg), None
-    ends = np.arange(2, k + 2)  # one past each flow's last column
-    round_pivots, round_columns = [], [k]
+    pools = [[[tree_path(topo, pred[s], s, d)] for s, d in f] for f in flows]
+    seeds = [(lp * k + fi, pool[0]) for lp in range(size)
+             for fi, pool in enumerate(pools[lp])]
+    # the column store: column j of stack LP i is store[i, j], U first;
+    # past an LP's width, zero columns fixed at 0 pad it to the stack's
+    store = np.zeros((size, 1 + 2 * k, m + k))
+    cost = np.zeros(store.shape[:2])
+    upper = np.zeros(store.shape[:2])
+    store[:, 0, :m], cost[:, 0], upper[:, :1 + k] = -1.0, 1.0, np.inf
+    seed_cols, seed_cost = _path_columns(topo, demand, seeds, epsilon)
+    store[:, 1:k + 1] = seed_cols.reshape(size, k, m + k)
+    cost[:, 1:k + 1] = seed_cost.reshape(size, k)
+    bg = np.array(bgs)
+    basis, binv = _crash_start(topo, demand, seeds, bg, store[:, 1:k + 1, :m])
+    rhs = np.concatenate([-bg / topo.capacity, np.ones((size, k))], axis=1)
+    rel = ["<="] * m + ["="] * k
+    width = np.full(size, 1 + k)
+    ends = np.tile(np.arange(2, k + 2), (size, 1))  # one past each flow's last column
+    lp_of = np.arange(size)  # the batch position of each LP in the stack
+    stack_demand = demand
+    done = [None] * size
+    round_pivots = [[] for _ in flows]
+    round_columns = [[k] for _ in flows]
+    n = 1 + k
     while True:
+        # views of the column store: the next round's insertions write to it
+        problem = LpProblem(c=cost[:, :n], a=store[:, :n].transpose(0, 2, 1), rel=rel,
+                            b=rhs, upper=upper[:, :n])
         sol = solve_lp(problem, basis=basis, binv=binv)
-        round_pivots.append((sol.phase1_iterations, sol.phase2_iterations))
-        y, mu = sol.duals[:m], sol.duals[m:]
+        for lp, pivots in zip(lp_of.tolist(), zip(sol.phase1_iterations.tolist(),
+                                                   sol.phase2_iterations.tolist())):
+            round_pivots[lp].append(pivots)
+        y, mu = sol.duals[:, :m], sol.duals[:, m:]
         # y <= 0 on the capacity rows, up to the solver's tolerance
-        weights = np.maximum(epsilon - np.outer(demand, y * inv_cap), 0.0)
-        dist, pred = shortest_path_trees(topo, src, weights)
-        new = []
-        for fi in np.flatnonzero(dist[np.arange(k), dst] - mu < -REDUCED_COST_TOL):
-            f = flows[fi]
-            path = tree_path(topo, pred[fi], *f)
+        weights = np.maximum(epsilon - stack_demand[:, :, None] * (y * inv_cap)[:, None, :],
+                             0.0)
+        dist, tree = shortest_path_trees(topo, src.reshape(-1), weights.reshape(-1, m))
+        cheap = dist[np.arange(src.size), dst.reshape(-1)].reshape(src.shape) - mu
+        new = []  # (stack position * K + flow position, path)
+        for i, fi in zip(*np.nonzero(cheap < -REDUCED_COST_TOL)):
+            g = i * k + fi
+            path = tree_path(topo, tree[g], src[i, fi], dst[i, fi])
+            pool = pools[lp_of[i]][fi]
             # a path already in the pool prices >= -tol in the LP just
             # solved, whatever this sum rounds to: never add it twice
-            if path not in paths[f]:
-                paths[f].append(path)
-                new.append((fi, path))
+            if path not in pool:
+                pool.append(path)
+                new.append((g, path))
+        owner, fis = np.divmod(np.array([g for g, _ in new], dtype=int), k)
+        added = np.bincount(owner, minlength=lp_of.size)
+        for i in (np.flatnonzero(added == 0) if new else range(lp_of.size)):
+            done[lp_of[i]] = (sol.x[i, :width[i]], float(sol.objective[i]))
         if not new:
             break
-        round_columns.append(len(new))
-        # each new path goes after its flow's pool, as build_path_lp has it
-        grown = np.array([fi for fi, _ in new])
-        at = ends[grown]
-        ends += np.cumsum(np.bincount(grown, minlength=k))
-        a_new, c_new = _path_columns(topo, demand, new, epsilon)
-        problem = LpProblem(c=np.insert(problem.c, at, c_new),
-                            a=np.insert(problem.a, at, a_new, axis=1),
-                            rel=problem.rel, b=problem.b)
-        # the new columns enter nonbasic at 0: the optimal basis stays
-        # feasible, and B, so B^-1, is unchanged; later columns and the
-        # slacks (numbered after the columns) shift up
-        basis = sol.basis + np.searchsorted(at, sol.basis, side="right")
-        binv = sol.binv
+        basis, binv = sol.basis, sol.binv
+        if not added.all():  # the finished LPs leave the stack
+            keep = np.flatnonzero(added)
+            (store, cost, upper, rhs, stack_demand, src, dst, width, ends, lp_of, basis,
+             binv, added) = (v[keep] for v in (store, cost, upper, rhs, stack_demand, src,
+                                                dst, width, ends, lp_of, basis, binv, added))
+            owner = np.searchsorted(keep, owner)
+        cols, costs = _path_columns(topo, stack_demand,
+                                    list(zip((owner * k + fis).tolist(),
+                                             (path for _, path in new))), epsilon)
+        n_next = int((width + added).max())
+        if n_next > store.shape[1]:  # the column store at least doubles
+            extra = max(n_next, 2 * store.shape[1]) - store.shape[1]
+            store, cost, upper = (
+                np.concatenate([v, np.zeros((v.shape[0], extra, *v.shape[2:]))], axis=1)
+                for v in (store, cost, upper))
+        # each new path goes after its flow's pool, as build_path_lp has it:
+        # inserted before column `at`, the q-th of an LP's new paths lands
+        # at at + q, and its column j at j + (its new paths with at <= j)
+        at = ends[owner, fis]
+        rank = np.arange(len(new)) - np.searchsorted(owner, owner)
+        shift = np.zeros((lp_of.size, n + 1), dtype=int)
+        np.add.at(shift, (owner, at), 1)
+        dest = np.arange(n) + np.cumsum(shift, axis=1)[:, :n]
+        moved, col = np.nonzero(np.arange(n) < width[:, None])
+        store[moved, dest[moved, col]] = store[moved, col]
+        cost[moved, dest[moved, col]] = cost[moved, col]
+        store[owner, at + rank], cost[owner, at + rank] = cols, costs
+        width = width + added
+        upper[:, :n_next][np.arange(n_next) < width[:, None]] = np.inf
+        ends += np.cumsum(np.bincount(owner * k + fis, minlength=ends.size).reshape(ends.shape),
+                          axis=1)
+        # the new columns enter nonbasic at 0: each optimal basis stays
+        # feasible, and B, so B^-1, is unchanged; the slacks, numbered
+        # after the stack's columns, shift with its width
+        structural = basis < n
+        basis = np.where(structural, dest[np.arange(lp_of.size)[:, None],
+                                          np.where(structural, basis, 0)],
+                         basis - n + n_next)
+        for lp, count in zip(lp_of.tolist(), added.tolist()):
+            round_columns[lp].append(count)
+        n = n_next
+    return [_solution(topo, flows[lp], pools[lp], demand[lp], bgs[lp], *done[lp],
+                      round_pivots[lp], round_columns[lp]) for lp in range(size)]
+
+
+def _background_only(topo, bg):
+    loads = LinkLoads.from_load(bg, topo.capacity)
+    return ReroutingSolution(sigma={}, u=loads.max_utilization,
+                             objective=loads.max_utilization, link_loads=loads)
+
+
+def _solution(topo, flows, pools, demand, bg, x, objective, round_pivots, round_columns):
+    """One LP's ReroutingSolution from its final shares x (U first)."""
+    k, m = len(flows), topo.link_count
     # each flow's ratios: the sum of its paths' shares, in pool order
-    fis, hops, links = _flat_paths([(fi, p) for fi, f in enumerate(flows)
-                                    for p in paths[f]])
+    fis, hops, links = _flat_paths([(fi, p) for fi, pool in enumerate(pools) for p in pool])
     ratios = np.zeros((k, m))
-    np.add.at(ratios, (np.repeat(fis, hops), links), np.repeat(sol.x[1:], hops))
+    np.add.at(ratios, (np.repeat(fis, hops), links), np.repeat(x[1:], hops))
     load = bg + demand @ ratios
-    sigma = dict(zip(flows, ratios))
-    shares = dict(zip(flows, np.split(sol.x[1:], ends[:-1] - 1)))
+    bounds = np.cumsum([1] + [len(pool) for pool in pools]).tolist()
+    shares = [x[a:b] for a, b in zip(bounds, bounds[1:])]
     loads = LinkLoads.from_load(load, topo.capacity)
-    return ReroutingSolution(sigma=sigma, u=loads.max_utilization,
-                             objective=sol.objective, link_loads=loads,
-                             paths=paths, shares=shares, round_pivots=round_pivots,
-                             round_columns=round_columns)
+    return ReroutingSolution(sigma=dict(zip(flows, ratios)), u=loads.max_utilization,
+                             objective=objective, link_loads=loads,
+                             paths=dict(zip(flows, pools)), shares=dict(zip(flows, shares)),
+                             round_pivots=round_pivots, round_columns=round_columns)
 
 
-def _crash_basis(topo, flows, paths, demand, bg):
-    """A feasible starting basis of the first path LP (one seed path per
-    flow): every flow on its seed path, U basic in the capacity row of the
-    most utilized link (the lowest row on ties) and the slacks of every
-    other capacity row, which hold U minus their link's utilization."""
-    m, k = topo.link_count, len(flows)
-    _, hops, links = _flat_paths([(fi, paths[f][0]) for fi, f in enumerate(flows)])
-    load = bg.copy()
-    np.add.at(load, links, np.repeat(demand, hops))
+def _crash_start(topo, demand, seeds, bg, seed_rows):
+    """The first round's basis and B^-1 for every LP of a stack whose
+    columns are U, then one seed path per flow (Bixby's crash basis):
+    every flow on its seed path, U basic in the capacity row of the most
+    utilized link (the lowest row on ties) and the slacks of every other
+    capacity row, which hold U minus their link's utilization. seeds are
+    (LP * K + flow position, path) pairs, as for _path_columns, and
+    seed_rows[i, f] the capacity rows of LP i's flow f's seed column.
+
+    B^-1 has a closed form, built in O(m (m + K)): with Q the seed paths'
+    capacity rows and r the row of U, B = [[P, Q], [0, I]], where P is
+    the identity with column r all -1, its own inverse. So B^-1 =
+    [[P, -P Q], [0, I]], and -P Q is Q[r] - Q on every row but r, Q[r]
+    on row r."""
+    size, k = demand.shape
+    m = topo.link_count
+    fis, hops, links = _flat_paths(seeds)
+    load = np.array(bg, dtype=float)
+    np.add.at(load, (np.repeat(fis // k, hops), links), np.repeat(demand.reshape(-1)[fis], hops))
+    top = np.argmax(load / topo.capacity, axis=1)
+    lps = np.arange(size)
     # slack of capacity row i is column 1 + k + i; flow fi's seed path is 1 + fi
-    basis = np.concatenate([1 + k + np.arange(m), 1 + np.arange(k)])
-    basis[int(np.argmax(load / topo.capacity))] = 0
-    return basis
+    basis = np.tile(np.concatenate([1 + k + np.arange(m), 1 + np.arange(k)]), (size, 1))
+    basis[lps, top] = 0
+    q_top = seed_rows[lps, :, top]
+    binv = np.zeros((size, m + k, m + k))
+    binv.reshape(size, -1)[:, ::m + k + 1] = 1.0
+    binv[lps[:, None], np.arange(m), top[:, None]] = -1.0
+    binv[:, :m, m:] = q_top[:, None, :] - seed_rows.transpose(0, 2, 1)
+    binv[lps, top, m:] = q_top
+    return basis, binv
 
 
 def solve_optimal_all_flows(topo, tm):

@@ -9,17 +9,21 @@ congested ECMP link each flow crosses, then by demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
 
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
-from .rerouting import solve_rerouting
+# No longer called here, but kept as a name of this module: the
+# benchmark's tracer (bench/tracing.py) wraps it here.
+from .rerouting import solve_rerouting  # noqa: F401
+from .rerouting import solve_rerouting_batch
 from .topology import flow_index, flow_of_index
 
 TRAVERSAL_EPS = 1e-12
 DEFAULT_COMBINATION_CAP = 10_000
+BRUTE_FORCE_CHUNK = 64  # subsets whose rerouting LPs brute_force_best stacks
 
 
 class SelectionError(Exception):
@@ -101,8 +105,11 @@ def brute_force_best(topo, tm, k, fractions=None,
                      combination_cap=DEFAULT_COMBINATION_CAP):
     """Exhaustively best k-subset by rerouting-LP utilization.
 
-    Ties resolve to the lexicographically smallest flow-id subset. Returns
-    (SelectionResult, u_best).
+    The subsets go through solve_rerouting_batch in chunks of
+    BRUTE_FORCE_CHUNK, in combination order; a subset wins only by a
+    utilization lower by more than 1e-12, so ties resolve to the
+    lexicographically smallest flow-id subset. Returns (SelectionResult,
+    u_best).
     """
     n = tm.n
     n_flows = n * (n - 1)
@@ -115,10 +122,12 @@ def brute_force_best(topo, tm, k, fractions=None,
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
     best_u, best_sel = np.inf, None
-    for subset in combinations(range(n_flows), k):
-        flows = [flow_of_index(a, n) for a in subset]
-        background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
-        sol = solve_rerouting(topo, tm, flows, background)
-        if sol.u < best_u - 1e-12:
-            best_u, best_sel = sol.u, flows
+    subsets = combinations(range(n_flows), k)
+    while chunk := list(islice(subsets, BRUTE_FORCE_CHUNK)):
+        flows = [[flow_of_index(a, n) for a in subset] for subset in chunk]
+        backgrounds = [ecmp_link_loads(topo, tm, fractions, exclude=f) for f in flows]
+        for f, sol in zip(flows, solve_rerouting_batch(topo, [tm] * len(flows), flows,
+                                                       backgrounds)):
+            if sol.u < best_u - 1e-12:
+                best_u, best_sel = sol.u, f
     return SelectionResult(flows=tuple(best_sel), method="brute_force"), float(best_u)

@@ -5,10 +5,14 @@ once over the whole batch, draws one selection per state, scores each by
 1/U from the rerouting LP, subtracts the per-state average-reward
 baseline, and applies the entropy-regularized log-probability gradient,
 summed over the batch by one backward pass over the sampling forward's
-activations. The step is added into the gradient's own arrays. One
-serial learner does all of this, and is bit-deterministic given the
-seed. Each iteration logs the time of its phases (`update_ms` covers the
-backward pass and the step) and its reward-cache hits.
+activations. The step is added into the gradient's own arrays. The
+batch's rewards not yet cached, one per new (state, action set) key,
+are solved together: one compute_reward call per iteration, whose
+rerouting LPs go through one stack (rerouting.solve_rerouting_batch),
+and each reward has the bits it has alone. One serial learner does all
+of this, and is bit-deterministic given the seed. Each iteration logs
+the time of its phases (`update_ms` covers the backward pass and the
+step) and its reward-cache hits.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import policy
-from .ecmp import compute_ecmp_fractions, ecmp_link_loads
+from . import ecmp, policy
+from .ecmp import compute_ecmp_fractions
 from .policy import entropy, init_params, sample_solution, save_checkpoint
 # No longer called here, but kept as names of this module: the benchmark's
 # tracer (bench/tracing.py) wraps them here, and their spans now read 0;
 # tests/test_imports.py checks that every name it wraps resolves.
+from .ecmp import ecmp_link_loads  # noqa: F401
 from .policy import forward, gradients  # noqa: F401
-from .rerouting import solve_rerouting
+from .rerouting import solve_rerouting  # noqa: F401
+from .rerouting import solve_rerouting_batch
 from .topology import flow_of_index
 
 
@@ -110,19 +116,32 @@ class TrainingLog:
                 w.writerow([repr(getattr(r, name)) for name in _CSV_COLUMNS])
 
 
-def compute_reward(topo, tm, solution, k=None, fractions=None):
-    """1 / (max link utilization after rerouting the selected flows)."""
-    actions = solution.actions if hasattr(solution, "actions") else tuple(solution)
-    if k is not None and len(actions) != k:
-        raise TrainingError(f"solution has {len(actions)} actions, expected {k}")
+def compute_reward(topo, tms, solutions, k=None, fractions=None):
+    """1 / (max link utilization after rerouting the selected flows), for
+    each (matrix, solution) pair, as an array.
+
+    Each solution's flows are rerouted over the ECMP loads of the others,
+    all the pairs' LPs as one stack, so the solutions have one size; each
+    reward has the bits it has when computed alone. A solution of another
+    size than `k`, when given, raises TrainingError, a zero-traffic
+    matrix DegenerateStateError.
+    """
+    if len(tms) != len(solutions):
+        raise ValueError("one traffic matrix per solution")
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
-    flows = [flow_of_index(a, tm.n) for a in actions]
-    background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
-    sol = solve_rerouting(topo, tm, flows, background)
-    if sol.u <= 0:
-        raise DegenerateStateError(f"zero-traffic state {tm.id!r}")
-    return 1.0 / sol.u
+    flows, backgrounds = [], []
+    for tm, solution in zip(tms, solutions):
+        actions = solution.actions if hasattr(solution, "actions") else tuple(solution)
+        if k is not None and len(actions) != k:
+            raise TrainingError(f"solution has {len(actions)} actions, expected {k}")
+        flows.append([flow_of_index(a, tm.n) for a in actions])
+        backgrounds.append(ecmp.ecmp_link_loads(topo, tm, fractions, exclude=flows[-1]))
+    u = np.array([sol.u for sol in solve_rerouting_batch(topo, tms, flows, backgrounds)])
+    zero = np.flatnonzero(u <= 0)
+    if zero.size:
+        raise DegenerateStateError(f"zero-traffic state {tms[zero[0]].id!r}")
+    return 1.0 / u
 
 
 class _RewardCache:
@@ -134,12 +153,24 @@ class _RewardCache:
         self.fractions = fractions
         self._cache = {}
 
+    def rewards(self, state_ids, solutions):
+        """The reward of each (state, solution) pair; the keys not yet
+        cached are computed by one compute_reward call, in first-seen
+        order."""
+        keys = [(sid, frozenset(sol.actions)) for sid, sol in zip(state_ids, solutions)]
+        new = {}
+        for key, sid, sol in zip(keys, state_ids, solutions):
+            if key not in self._cache and key not in new:
+                new[key] = (sid, sol)
+        if new:
+            values = compute_reward(self.topo, [self.matrices[sid] for sid, _ in new.values()],
+                                    [sol for _, sol in new.values()],
+                                    fractions=self.fractions)
+            self._cache.update(zip(new, map(float, values)))
+        return [self._cache[key] for key in keys]
+
     def reward(self, state_id, solution):
-        key = (state_id, frozenset(solution.actions))
-        if key not in self._cache:
-            self._cache[key] = compute_reward(self.topo, self.matrices[state_id],
-                                              solution, fractions=self.fractions)
-        return self._cache[key]
+        return self.rewards([state_id], [solution])[0]
 
     def __len__(self):
         return len(self._cache)
@@ -224,7 +255,7 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         solutions = [drawn.setdefault((s.actions, s.filled_uniform), s) for s in solutions]
         t_sample = time.perf_counter()
         cached = len(cache)
-        rewards = [cache.reward(sid, sol) for sid, sol in zip(batch_ids, solutions)]
+        rewards = cache.rewards(batch_ids, solutions)
         t_reward = time.perf_counter()
         experiences = []
         for sid, sol, r in zip(batch_ids, solutions, rewards):

@@ -287,9 +287,10 @@ def test_ebone_sized_reward_matches_highs():
     cases.append((tm, cf.top_k_critical(topo, tm, 51, fractions=fractions).flows))
     for seed, tm in enumerate(cf.generate_tms(topo, "exponential", 3, 0.9, seed=1)):
         cases.append((tm, cf.random_k(len(topo.flows()), 51, seed, n=topo.node_count).flows))
-    for tm, flows in cases:
-        actions = [cf.flow_index(s, d, topo.node_count) for s, d in flows]
-        reward = cf.compute_reward(topo, tm, actions, fractions=fractions)
+    rewards = cf.compute_reward(topo, [tm for tm, _ in cases],
+                                [[cf.flow_index(s, d, topo.node_count) for s, d in flows]
+                                 for _, flows in cases], fractions=fractions)
+    for (tm, flows), reward in zip(cases, rewards):
         bg = cf.ecmp_link_loads(topo, tm, fractions, exclude=flows)
         u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
         assert reward == pytest.approx(1.0 / u_highs, rel=1e-7, abs=0.0)
@@ -376,20 +377,40 @@ def _reward_cases():
         yield topo, tm, cf.top_k_critical(topo, tm, 51, fractions=fractions).flows
 
 
-def test_no_phase_one_in_any_round(monkeypatch):
-    solved = []  # every LP solve_rerouting makes, as solved
+def _reward_groups():
+    """_reward_cases as batches: (topology, [(tm, flows)]) per topology and K."""
+    groups = {}
+    for topo, tm, flows in _reward_cases():
+        groups.setdefault((id(topo), len(flows)), (topo, []))[1].append((tm, flows))
+    return list(groups.values())
 
+
+def _solve_batch(topo, cases):
+    return cf.solve_rerouting_batch(topo, [tm for tm, _ in cases], [f for _, f in cases],
+                                    [background_for(topo, tm, f) for tm, f in cases])
+
+
+def _stack_position(sols, i, r):
+    """Where batch LP i sits in round r's stack: the LPs still pricing
+    keep their batch order."""
+    return sum(len(other.round_pivots) > r for other in sols[:i])
+
+
+def test_no_phase_one_in_any_round(monkeypatch):
+    solved = []  # every stacked solve the batches make
     def record(*args, **kwargs):
         solved.append(solve_lp(*args, **kwargs))
         return solved[-1]
     monkeypatch.setattr(rerouting, "solve_lp", record)
     rounds = 0
-    for topo, tm, flows in _reward_cases():
+    for topo, cases in _reward_groups():
         solved.clear()
-        sol = cf.solve_rerouting(topo, tm, flows, background_for(topo, tm, flows))
-        assert [s.phase1_iterations for s in solved] == [0] * len(solved)
-        assert sol.round_pivots == [(0, s.phase2_iterations) for s in solved]
-        rounds += len(solved)
+        sols = _solve_batch(topo, cases)
+        assert [int(s.phase1_iterations.sum()) for s in solved] == [0] * len(solved)
+        for r, s in enumerate(solved):  # round r's stack holds the LPs with a round r
+            assert [sol.round_pivots[r] for sol in sols if len(sol.round_pivots) > r] \
+                == [(0, int(p)) for p in s.phase2_iterations]
+        rounds += sum(len(sol.round_pivots) for sol in sols)
     assert rounds > 2 * 43  # column generation ran past its first round
 
 
@@ -403,12 +424,17 @@ def test_cold_path_lp_needs_phase_one_and_the_crash_basis_does_not():
                             cf.default_epsilon(topo, len(flows)))
     demand = np.array([tm.demand[f] for f in flows])
     cold = solve_lp(problem)
-    warm = solve_lp(problem, basis=rerouting._crash_basis(topo, flows, paths, demand,
-                                                          bg.load))
+    basis, binv = rerouting._crash_start(topo, demand[None],
+                                         [(fi, paths[f][0]) for fi, f in enumerate(flows)],
+                                         bg.load[None], problem.a[None, :m, 1:].transpose(0, 2, 1))
+    warm = solve_lp(problem, basis=basis[0])
+    handed = solve_lp(problem, basis=basis[0], binv=binv[0])  # the closed-form B^-1
     assert cold.phase1_iterations > 0 and warm.phase1_iterations == 0
-    for s in (cold, warm):
+    assert warm.inverted and not handed.inverted
+    for s in (cold, warm, handed):
         assert s.phase1_iterations + s.phase2_iterations == s.iterations
     assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert handed.objective == pytest.approx(cold.objective, rel=1e-12)
 
 
 def test_rerouting_keeps_no_state_between_calls():
@@ -486,39 +512,99 @@ def _record_solves(monkeypatch):
     return solved
 
 
-def _reward_and_optimum_cases():
-    yield from _reward_cases()
+def test_b_never_inverted(monkeypatch):
+    """The first round takes the crash basis's closed-form B^-1 and each
+    later round the last one's: no round of a reward or an optimum
+    inverts B but for the periodic refresh."""
+    solved = _record_solves(monkeypatch)
     topo = _ebone_sized()
     tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=3)[0]
-    yield topo, tm, [f for f in topo.flows() if tm.demand[f] > 0]
-
-
-def test_b_inverted_once_per_call(monkeypatch):
-    solved = _record_solves(monkeypatch)
-    calls = handed_over = 0
-    for topo, tm, flows in _reward_and_optimum_cases():
-        calls += 1
+    groups = _reward_groups() + [(topo, [(tm, [f for f in topo.flows() if tm.demand[f] > 0])])]
+    lps = handed_over = 0
+    for topo, cases in groups:
         solved.clear()
-        sol = cf.solve_rerouting(topo, tm, flows, background_for(topo, tm, flows))
-        assert [s.inverted for _, s in solved] == [True] + [False] * (len(solved) - 1)
-        for _, s in solved:  # no inversion but the periodic refresh
-            assert s.refreshes <= s.iterations // simplex.REFRESH_EVERY
-        assert len(sol.round_columns) == len(sol.round_pivots) == len(solved)
-        assert sol.round_columns[0] == len(flows) and 0 not in sol.round_columns
-        assert sum(sol.round_columns) == sum(map(len, sol.paths.values()))
-        handed_over += len(solved) - 1
-    assert handed_over > calls  # more later rounds than calls
+        sols = _solve_batch(topo, cases)
+        for _, s in solved:
+            assert not s.inverted.any()
+            pivots = s.phase1_iterations + s.phase2_iterations
+            assert np.all(s.refreshes <= pivots // simplex.REFRESH_EVERY)
+        for (_, flows), sol in zip(cases, sols):
+            assert len(sol.round_columns) == len(sol.round_pivots)
+            assert sol.round_columns[0] == len(flows) and 0 not in sol.round_columns
+            assert sum(sol.round_columns) == sum(map(len, sol.paths.values()))
+            handed_over += len(sol.round_pivots) - 1
+        lps += len(cases)
+    assert handed_over > lps  # more later rounds than LPs
 
 
 def test_appended_lp_equals_built_lp(monkeypatch):
+    """Each LP's last round, in its place in the stack, is build_path_lp
+    over its final pools, padded with zero columns fixed at 0."""
     solved = _record_solves(monkeypatch)
-    for topo, tm, flows in _reward_cases():
+    for topo, cases in _reward_groups():
         solved.clear()
-        bg = background_for(topo, tm, flows)
-        sol = cf.solve_rerouting(topo, tm, flows, bg)
-        built = build_path_lp(topo, tm, sorted(flows), bg.load, sol.paths,
-                              cf.default_epsilon(topo, len(flows)))
-        last = solved[-1][0]
-        for name in ("c", "a", "b", "lower", "upper"):
-            assert np.array_equal(getattr(last, name), getattr(built, name)), name
-        assert last.rel == built.rel
+        sols = _solve_batch(topo, cases)
+        for i, ((tm, flows), sol) in enumerate(zip(cases, sols)):
+            last = len(sol.round_pivots) - 1
+            stack, at = solved[last][0], _stack_position(sols, i, last)
+            built = build_path_lp(topo, tm, sorted(flows), background_for(topo, tm, flows).load,
+                                  sol.paths, cf.default_epsilon(topo, len(flows)))
+            n = built.n_vars
+            for name in ("c", "lower", "upper"):
+                assert np.array_equal(getattr(stack, name)[at, :n], getattr(built, name)), name
+            assert np.array_equal(stack.a[at, :, :n], built.a)
+            assert np.array_equal(stack.b[at], built.b)
+            assert stack.rel == built.rel
+            padding = np.concatenate([stack.c[at, n:], stack.a[at, :, n:].ravel(),
+                                      stack.lower[at, n:], stack.upper[at, n:]])
+            assert not padding.any()
+
+
+def _batch_cases():
+    """(topology, [(tm, flows)]) of one K each: Abilene at K=13, the
+    EBone-sized net at K=51 and eval-mid's net at K=6, critical and random
+    selections."""
+    for topo, k, count in ((cf.load_topology(ABILENE), 13, 8), (_ebone_sized(), 51, 3),
+                           (cf.random_topology(8, 6, seed=3), 6, 8)):
+        fractions = cf.compute_ecmp_fractions(topo)
+        cases = []
+        for i, tm in enumerate(cf.generate_tms(topo, "exponential", count, 0.9, seed=5)):
+            cases.append((tm, cf.top_k_critical(topo, tm, k, fractions=fractions).flows))
+            cases.append((tm, cf.random_k(len(topo.flows()), k, i, n=topo.node_count).flows))
+        yield topo, cases
+
+
+def test_batch_gives_each_lp_its_bits_alone():
+    rng = np.random.default_rng(7)
+    for topo, cases in _batch_cases():
+        backgrounds = [background_for(topo, tm, flows) for tm, flows in cases]
+        alone = [cf.solve_rerouting(topo, tm, flows, bg)
+                 for (tm, flows), bg in zip(cases, backgrounds)]
+        for _ in range(2):
+            order = rng.permutation(len(cases))
+            batch = cf.solve_rerouting_batch(topo, [cases[i][0] for i in order],
+                                             [cases[i][1] for i in order],
+                                             [backgrounds[i] for i in order])
+            for i, got in zip(order, batch):
+                want = alone[i]
+                assert got.u == want.u and got.objective == want.objective
+                assert got.round_pivots == want.round_pivots
+                assert got.paths == want.paths
+                assert all(np.array_equal(got.sigma[f], want.sigma[f]) for f in want.sigma)
+
+
+def test_batched_rewards_match_highs():
+    pytest.importorskip("scipy")
+    for topo, cases in _reward_groups():
+        for (tm, flows), sol in zip(cases, _solve_batch(topo, cases)):
+            bg = background_for(topo, tm, flows)
+            u_highs, _ = highs_min(build_rerouting_lp(topo, tm, flows, bg.load, 0.0))
+            assert sol.u == pytest.approx(u_highs, rel=1e-12, abs=0.0)
+
+
+def test_batch_rejects_mixed_sizes(ring5):
+    tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=1)[0]
+    bg = background_for(ring5, tm, [])
+    with pytest.raises(ValueError, match="one size"):
+        cf.solve_rerouting_batch(ring5, [tm, tm], [[(0, 1)], [(0, 1), (2, 4)]], [bg, bg])
+    assert cf.solve_rerouting_batch(ring5, [], [], []) == []

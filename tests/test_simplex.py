@@ -290,3 +290,120 @@ def test_handed_over_inverse_stays_accurate(monkeypatch, refresh_every):
         assert s.objective == pytest.approx(cf.solve_lp(chain[-1]).objective,
                                             rel=1e-12, abs=1e-12)
     assert pivots > 6 * len(chain)
+
+
+def _slack_feasible_lp(rng, n, m, b_low=0.1):
+    """min c x over A x <= b, 0 <= x <= 2: with b >= 0 the slack basis
+    is feasible."""
+    return cf.LpProblem(c=rng.uniform(-1, 1, n), a=rng.uniform(-1, 1, (m, n)),
+                        rel=["<="] * m, b=rng.uniform(b_low, 1.0, m), upper=np.full(n, 2.0))
+
+
+def _flip_lp():
+    # min -x - y s.t. x + y <= 10, x, y <= 1: each enters and flips to its bound
+    return cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                        rel=["<=", "<=", "<="], b=[10.0, 5.0, 5.0], upper=[1.0, 1.0])
+
+
+def _stacked(problems):
+    """Problems of one shape of rows as one stack, each padded after its
+    columns with zero columns fixed at 0."""
+    n = max(p.n_vars for p in problems)
+
+    def pad(v):
+        return np.concatenate([v, np.zeros(n - v.size)])
+    return cf.LpProblem(c=[pad(p.c) for p in problems],
+                        a=[np.hstack([p.a, np.zeros((p.n_rows, n - p.n_vars))])
+                           for p in problems],
+                        rel=problems[0].rel, b=[p.b for p in problems],
+                        lower=[pad(p.lower) for p in problems],
+                        upper=[pad(p.upper) for p in problems])
+
+
+def _in_stack(p, basis, n):
+    """A basis of p numbered for a stack n columns wide (slacks shift)."""
+    basis = np.asarray(basis)
+    return np.where(basis >= p.n_vars, basis - p.n_vars + n, basis)
+
+
+def _assert_stack_gives_bits_alone(problems, bases, seed=0, **kwargs):
+    alone = [cf.solve_lp(p, basis=b, **kwargs) for p, b in zip(problems, bases)]
+    rng = np.random.default_rng(seed)
+    for order in (np.arange(len(problems)), rng.permutation(len(problems))):
+        stack = _stacked([problems[i] for i in order])
+        n = stack.n_vars
+        got = cf.solve_lp(stack, basis=[_in_stack(problems[i], bases[i], n) for i in order],
+                          **kwargs)
+        assert got.iterations == sum(s.iterations for s in alone)
+        for row, i in enumerate(order):
+            want, k = alone[i], problems[i].n_vars
+            assert np.array_equal(got.x[row, :k], want.x) and not got.x[row, k:].any()
+            assert got.objective[row] == want.objective
+            assert np.array_equal(got.duals[row], want.duals)
+            assert np.array_equal(got.basis[row], _in_stack(problems[i], want.basis, n))
+            assert np.array_equal(got.binv[row], want.binv)
+            for name in ("phase1_iterations", "phase2_iterations", "degenerate_pivots",
+                         "used_bland", "refreshes", "inverted"):
+                assert getattr(got, name)[row] == getattr(want, name), name
+    return alone
+
+
+def _stack_cases(seed, m, count):
+    rng = np.random.default_rng(seed)
+    problems = [_slack_feasible_lp(rng, int(rng.integers(2, 7)), m) for _ in range(count)]
+    return problems, [p.n_vars + np.arange(m) for p in problems]
+
+
+def test_stack_gives_each_lp_its_bits_alone():
+    problems, bases = _stack_cases(41, 3, 6)
+    tie = _tie_lp()  # the ratio-test tie, from the slack basis and from another order
+    problems += [tie, tie, _flip_lp()]
+    bases += [[2, 3, 4], [3, 2, 4], [2, 3, 4]]
+    alone = _assert_stack_gives_bits_alone(problems, bases)
+    assert list(alone[-2].basis) == [3, 0, 1]
+    assert alone[-1].degenerate_pivots == 0 and np.array_equal(alone[-1].x, [1.0, 1.0])
+    flipped = [s for p, s in zip(problems, alone)
+               if np.any((s.x == p.upper) & ~np.isin(np.arange(p.n_vars), s.basis))]
+    assert len(flipped) >= 2  # bound flips, not only pivots
+
+
+def test_stack_keeps_bland_and_refresh_per_lp(monkeypatch):
+    rng = np.random.default_rng(43)
+    problems = [_slack_feasible_lp(rng, int(rng.integers(8, 13)), 4) for _ in range(6)]
+    bases = [p.n_vars + np.arange(4) for p in problems]
+    # the ratio-test tie with a fourth row: its degenerate first pivot
+    # turns Bland's rule on for this LP alone
+    problems.append(cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0],
+                                                    [0.0, 0.0]],
+                                 rel=["<="] * 4, b=[0.0, 0.0, 1.0, 1.0]))
+    bases.append([2, 3, 4, 5])
+    monkeypatch.setattr(simplex, "REFRESH_EVERY", 2)
+    monkeypatch.setattr(simplex, "BLAND_AFTER_DEGENERATE", 1)
+    alone = _assert_stack_gives_bits_alone(problems, bases, seed=1)
+    assert alone[-1].used_bland and any(s.refreshes for s in alone)
+    assert sum(not s.used_bland and s.iterations >= 3 for s in alone) >= 2
+
+
+def test_stack_iteration_limit_raises():
+    problems, bases = _stack_cases(47, 3, 4)
+    alone = [cf.solve_lp(p, basis=b) for p, b in zip(problems, bases)]
+    most = max(s.iterations for s in alone)
+    assert most > 0
+    stack = _stacked(problems)
+    basis = [_in_stack(p, b, stack.n_vars) for p, b in zip(problems, bases)]
+    # as alone: the LP of the most pivots needs one more step to see it is optimal
+    with pytest.raises(cf.LpIterationLimitError) as exc:
+        cf.solve_lp(stack, basis=basis, max_iters=most)
+    assert exc.value.basis.shape == (3,)
+    got = cf.solve_lp(stack, basis=basis, max_iters=most + 1)
+    assert got.iterations == sum(s.iterations for s in alone)
+
+
+def test_stack_solves_an_lp_with_an_infeasible_basis_by_two_phases():
+    rng = np.random.default_rng(53)
+    problems = [_slack_feasible_lp(rng, 4, 3) for _ in range(3)]
+    problems[1] = _slack_feasible_lp(rng, 5, 3, b_low=-0.5)
+    problems[1].b[0] = -0.2  # its slack basis is infeasible
+    bases = [p.n_vars + np.arange(3) for p in problems]
+    alone = _assert_stack_gives_bits_alone(problems, bases)
+    assert [s.phase1_iterations > 0 for s in alone] == [False, True, False]

@@ -13,7 +13,7 @@ from conftest import ABILENE, tm_with, tiny_config
 def test_reward_triangle_single_flow(triangle):
     tm = tm_with(3, {(0, 2): 0.9})
     action = cf.flow_index(0, 2, 3)
-    r = cf.compute_reward(triangle, tm, cf.Solution(actions=(action,)), k=1)
+    r, = cf.compute_reward(triangle, [tm], [cf.Solution(actions=(action,))], k=1)
     assert r == pytest.approx(1 / 0.45, abs=1e-6)
 
 
@@ -22,20 +22,20 @@ def test_reward_zero_demand_selection_is_ecmp(ring5):
     tm.demand[0, 1] = 0.0
     tm.demand[1, 0] = 0.0
     sol = cf.Solution(actions=(cf.flow_index(0, 1, 5), cf.flow_index(1, 0, 5)))
-    r = cf.compute_reward(ring5, tm, sol, k=2)
+    r, = cf.compute_reward(ring5, [tm], [sol], k=2)
     assert r == pytest.approx(1 / cf.ecmp_max_utilization(ring5, tm), abs=1e-6)
 
 
 def test_reward_degenerate_state_errors(ring5):
     tm = cf.TrafficMatrix(5, np.zeros((5, 5)))
     with pytest.raises(cf.DegenerateStateError):
-        cf.compute_reward(ring5, tm, cf.Solution(actions=(0, 1)), k=2)
+        cf.compute_reward(ring5, [tm], [cf.Solution(actions=(0, 1))], k=2)
 
 
 def test_reward_wrong_k_errors(ring5):
     tm = cf.generate_tms(ring5, "uniform", 1, 0.9, seed=3)[0]
     with pytest.raises(cf.TrainingError):
-        cf.compute_reward(ring5, tm, cf.Solution(actions=(0, 1)), k=3)
+        cf.compute_reward(ring5, [tm], [cf.Solution(actions=(0, 1))], k=3)
 
 
 def test_brute_force_set_maximizes_reward(diamond):
@@ -44,9 +44,10 @@ def test_brute_force_set_maximizes_reward(diamond):
     sel, u_best = cf.brute_force_best(diamond, tm, 2, fractions=fr)
     best_r = 1 / u_best
     from itertools import combinations
-    for subset in combinations(range(12), 2):
-        r = cf.compute_reward(diamond, tm, cf.Solution(actions=subset),
-                              fractions=fr)
+    subsets = list(combinations(range(12), 2))
+    rewards = cf.compute_reward(diamond, [tm] * len(subsets),
+                                [cf.Solution(actions=s) for s in subsets], fractions=fr)
+    for r in rewards:
         assert best_r >= r - 1e-9
 
 
@@ -205,16 +206,16 @@ def test_log_csv_format(tiny_instance, tmp_path):
 def test_phase_times_within_wall_and_cache_hits_count_new_entries(tiny_instance,
                                                                   monkeypatch):
     topo, dataset = tiny_instance
-    calls = []
+    passed = []  # the keys each compute_reward call was given
     compute_reward = training.compute_reward
 
-    def counted_reward(*args, **kwargs):
-        calls.append(1)
-        return compute_reward(*args, **kwargs)
+    def counted_reward(topo, tms, solutions, *args, **kwargs):
+        passed.append(len(solutions))
+        return compute_reward(topo, tms, solutions, *args, **kwargs)
 
     monkeypatch.setattr(training, "compute_reward", counted_reward)
     _, log = cf.train(topo, dataset, tiny_config(total_iterations=30, batch_size=8))
-    seen = set()
+    seen, new_keys = set(), []
     for rec in log.records:
         phases = (rec.forward_ms, rec.sample_ms, rec.reward_ms, rec.update_ms)
         assert all(t >= 0 for t in phases)
@@ -222,7 +223,11 @@ def test_phase_times_within_wall_and_cache_hits_count_new_entries(tiny_instance,
         new = {(e.state_id, frozenset(e.solution.actions)) for e in rec.batch} - seen
         seen |= new
         assert rec.cache_hits == len(rec.batch) - len(new)
-    assert sum(len(r.batch) - r.cache_hits for r in log.records) == len(calls)
+        if new:
+            new_keys.append(len(new))
+    # one call per iteration with new keys, given exactly those keys
+    assert passed == new_keys
+    assert sum(len(r.batch) - r.cache_hits for r in log.records) == sum(passed)
     assert log.records[0].cache_hits < 8 and log.records[-1].cache_hits > 0
 
 
