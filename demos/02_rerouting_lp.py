@@ -5,9 +5,10 @@ halving the worst link load; freeing every flow reaches the same point
 here. The LP is over paths: it starts from the flow's shortest path and
 adds the detour once the link duals price it below zero. The LP is built
 once; each round appends its new path columns and starts from a feasible
-basis (a crash basis, then the last round's, with its B^-1), so phase 1
-takes no pivots and only the first round inverts B. Also dumps that final
-LP in interchange format for external solvers.
+basis (a crash basis, then the last round's, with its B^-1), the only
+start the simplex takes, so no round inverts B. Also dumps that final LP
+in interchange format for external solvers and solves it from a crash
+basis of its own.
 """
 
 import numpy as np
@@ -32,10 +33,8 @@ for e, ratio in enumerate(sol.sigma[(0, 2)]):
     if ratio > 1e-9:
         lk = triangle.links[e]
         print(f"  {ratio:.0%} of the demand on link {lk.src}->{lk.dst}")
-for i, ((phase1, phase2), added) in enumerate(zip(sol.round_pivots,
-                                                  sol.round_columns)):
-    print(f"  LP round {i}: {added} new path column(s), "
-          f"{phase1} phase-1 and {phase2} phase-2 pivots")
+for i, (pivots, added) in enumerate(zip(sol.round_pivots, sol.round_columns)):
+    print(f"  LP round {i}: {added} new path column(s), {pivots} pivots")
 print("paths the LP ended with (node sequences):")
 for path in sol.paths[(0, 2)]:
     print("  " + "->".join(str(triangle.links[e].src) for e in path) + "->2")
@@ -49,9 +48,15 @@ problem = build_path_lp(triangle, tm, [(0, 2)], background.load, sol.paths,
                         cf.default_epsilon(triangle, 1))
 print(cf.lp_to_text(problem, name="triangle rerouting"))
 
-print("=== Handing B^-1 over with the basis ===")
-cold = cf.solve_lp(problem)
-again = cf.solve_lp(problem, basis=cold.basis, binv=cold.binv)
-for label, s in (("cold solve", cold), ("from its final basis and B^-1", again)):
-    print(f"{label}: {s.iterations} pivots, "
+print("=== Solving it from a crash basis, then handing B^-1 over ===")
+# the flow on its first path, U basic in the capacity row of the link that
+# path loads most, and the slacks (columns n + row) of the other links
+m, n = triangle.link_count, problem.n_vars
+top = int(np.argmax(problem.a[:m, 1] - problem.b[:m]))  # utilization on path 0
+start = np.concatenate([n + np.arange(m), [1]])
+start[top] = 0
+first = cf.solve_lp(problem, basis=start)
+again = cf.solve_lp(problem, basis=first.basis, binv=first.binv)
+for label, s in (("from the crash basis", first), ("from its final basis and B^-1", again)):
+    print(f"{label}: U = {s.x[0]:.2f}, {s.iterations} pivots, "
           f"{'inverted B' if s.inverted else 'took the given B^-1'}")

@@ -17,7 +17,7 @@ from .traffic import (TrafficMatrix, Dataset, generate_tms, split_dataset,
 from .ecmp import (EcmpFractions, LinkLoads, compute_ecmp_fractions,
                    ecmp_link_loads, ecmp_max_utilization, RoutingError)
 from .simplex import (LpProblem, LpSolution, solve_lp, lp_to_text, dump_lp,
-                      LpError, LpInfeasibleError, LpUnboundedError,
+                      LpError, LpUnboundedError,
                       LpIterationLimitError)
 from .rerouting import (ReroutingSolution, solve_rerouting, solve_rerouting_batch,
                         solve_optimal_all_flows, check_rerouting_feasibility,

@@ -45,10 +45,12 @@ Each later round inserts its new path columns into the stack's column
 store after their flows' pools, in the order build_path_lp gives them,
 and starts from the previous round's optimal basis, renumbered around
 them, and its B^-1: the new paths enter nonbasic at 0, so the basis
-stays primal feasible and B stays the same matrix. No round needs a
-phase 1 or inverts B. An LP narrower than the stack is padded with
-zero columns fixed at 0 after its own, and gets the bits it gets alone.
-Nothing is kept from one call to the next.
+stays primal feasible and B stays the same matrix. Every round thus
+starts from a feasible basis, the only start solve_lp takes, and none
+inverts B. An LP narrower than the stack is padded after its own
+columns with zero columns of zero cost, which price at exactly 0 and
+never enter, and gets the bits it gets alone. Nothing is kept from one
+call to the next.
 
 Also here: the all-flows optimum, the network delay proxy sum(load /
 (capacity - load)), and its minimizer over all routings by path-based
@@ -94,7 +96,7 @@ class ReroutingSolution:
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
     # (s, d) -> the final LP's share of each path in paths[(s, d)]
     shares: dict = field(default_factory=dict)
-    # (phase-1, phase-2) pivots of each column-generation round's LP
+    # pivots of each column-generation round's LP
     round_pivots: list = field(default_factory=list)
     # path columns each round's LP added to the last one (round 0: the seeds)
     round_columns: list = field(default_factory=list)
@@ -220,11 +222,10 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     seeds = [(lp * k + fi, pool[0]) for lp in range(size)
              for fi, pool in enumerate(pools[lp])]
     # the column store: column j of stack LP i is store[i, j], U first;
-    # past an LP's width, zero columns fixed at 0 pad it to the stack's
+    # past an LP's width, zero columns of zero cost pad it to the stack's
     store = np.zeros((size, 1 + 2 * k, m + k))
     cost = np.zeros(store.shape[:2])
-    upper = np.zeros(store.shape[:2])
-    store[:, 0, :m], cost[:, 0], upper[:, :1 + k] = -1.0, 1.0, np.inf
+    store[:, 0, :m], cost[:, 0] = -1.0, 1.0
     seed_cols, seed_cost = _path_columns(topo, demand, seeds, epsilon)
     store[:, 1:k + 1] = seed_cols.reshape(size, k, m + k)
     cost[:, 1:k + 1] = seed_cost.reshape(size, k)
@@ -243,10 +244,9 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     while True:
         # views of the column store: the next round's insertions write to it
         problem = LpProblem(c=cost[:, :n], a=store[:, :n].transpose(0, 2, 1), rel=rel,
-                            b=rhs, upper=upper[:, :n])
+                            b=rhs)
         sol = solve_lp(problem, basis=basis, binv=binv)
-        for lp, pivots in zip(lp_of.tolist(), zip(sol.phase1_iterations.tolist(),
-                                                   sol.phase2_iterations.tolist())):
+        for lp, pivots in zip(lp_of.tolist(), sol.pivots.tolist()):
             round_pivots[lp].append(pivots)
         y, mu = sol.duals[:, :m], sol.duals[:, m:]
         # y <= 0 on the capacity rows, up to the solver's tolerance
@@ -273,9 +273,9 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         basis, binv = sol.basis, sol.binv
         if not added.all():  # the finished LPs leave the stack
             keep = np.flatnonzero(added)
-            (store, cost, upper, rhs, stack_demand, src, dst, width, ends, lp_of, basis,
-             binv, added) = (v[keep] for v in (store, cost, upper, rhs, stack_demand, src,
-                                                dst, width, ends, lp_of, basis, binv, added))
+            (store, cost, rhs, stack_demand, src, dst, width, ends, lp_of, basis, binv,
+             added) = (v[keep] for v in (store, cost, rhs, stack_demand, src, dst, width,
+                                         ends, lp_of, basis, binv, added))
             owner = np.searchsorted(keep, owner)
         cols, costs = _path_columns(topo, stack_demand,
                                     list(zip((owner * k + fis).tolist(),
@@ -283,9 +283,9 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         n_next = int((width + added).max())
         if n_next > store.shape[1]:  # the column store at least doubles
             extra = max(n_next, 2 * store.shape[1]) - store.shape[1]
-            store, cost, upper = (
+            store, cost = (
                 np.concatenate([v, np.zeros((v.shape[0], extra, *v.shape[2:]))], axis=1)
-                for v in (store, cost, upper))
+                for v in (store, cost))
         # each new path goes after its flow's pool, as build_path_lp has it:
         # inserted before column `at`, the q-th of an LP's new paths lands
         # at at + q, and its column j at j + (its new paths with at <= j)
@@ -299,7 +299,6 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         cost[moved, dest[moved, col]] = cost[moved, col]
         store[owner, at + rank], cost[owner, at + rank] = cols, costs
         width = width + added
-        upper[:, :n_next][np.arange(n_next) < width[:, None]] = np.inf
         ends += np.cumsum(np.bincount(owner * k + fis, minlength=ends.size).reshape(ends.shape),
                           axis=1)
         # the new columns enter nonbasic at 0: each optimal basis stays
@@ -375,7 +374,7 @@ def _crash_start(topo, demand, seeds, bg, seed_rows):
 def solve_optimal_all_flows(topo, tm):
     """Explicit-routing optimum over all flows with zero background: the
     path LP of solve_rerouting over every flow with demand, so it starts
-    from a crash basis and runs no phase 1.
+    from a crash basis and never inverts B.
 
     Returns (u_opt, ReroutingSolution); u_opt is its loads' max
     utilization, and its path pools and shares start solve_delay_optimal.
@@ -388,9 +387,7 @@ def solve_optimal_all_flows(topo, tm):
 def check_rerouting_feasibility(topo, tm, solution, background, tol=CONSERVATION_TOL):
     """Independent constraint check of a ReroutingSolution (not the solver's
     own residuals). Raises AssertionError naming the violated family."""
-    bg = np.asarray(background.load if isinstance(background, LinkLoads)
-                    else background, dtype=float)
-    load = bg.copy()
+    load = _load_vector(background)
     for (s, d), ratios in solution.sigma.items():
         assert np.all(ratios >= -tol) and np.all(ratios <= 1 + tol), \
             f"ratio bounds violated for flow ({s},{d})"
@@ -410,8 +407,7 @@ def check_rerouting_feasibility(topo, tm, solution, background, tol=CONSERVATION
 
 def evaluate_delay(topo, loads):
     """Network delay proxy: sum over links of l/(c-l); +inf if any l >= c."""
-    load = np.asarray(loads.load if isinstance(loads, LinkLoads) else loads,
-                      dtype=float)
+    load = _load_vector(loads)
     cap = topo.capacity
     if np.any(load >= cap):
         return float("inf")

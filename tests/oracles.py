@@ -6,16 +6,18 @@ squaring + one stacked matrix inverse for ECMP; top-k-critical as a walk
 over the links, hottest first, instead of one sort over the flows; bisection over max-flow feasibility instead of the
 simplex for single-flow min-max routing; exhaustive vertex enumeration for
 small LPs; the edge form of the rerouting LP (one split ratio per flow and
-link, with conservation rows) instead of column generation over paths;
-the destination form of the all-flows optimum (one commodity per
-destination, in link flows) instead of the path LP over every flow; a
+link, with conservation rows) instead of column generation over paths,
+and the destination form of the all-flows optimum (one commodity per
+destination, in link flows) instead of the path LP over every flow, both
+solved by scipy's HiGHS rather than critflow's own simplex; a
 dual certificate checked from the LP's own data instead of the solver's
 word; Frank-Wolfe (all-or-nothing steps by Floyd-Warshall and one loop
 over the nodes per destination, line search by plain bisection) as an
 upper reference for the gradient-projection delay optimum, and Kelley's
 cutting planes solved by HiGHS as a lower bound on it; one heap Dijkstra
 per flow instead of the batched Bellman-Ford that finds the seed paths
-and prices every flow at once; scipy's HiGHS where scipy is installed.
+and prices every flow at once. The oracles that need scipy import it
+when called, so this module loads without it.
 """
 
 import heapq
@@ -25,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from critflow.ecmp import LinkLoads
-from critflow.simplex import LpProblem, solve_lp
+from critflow.simplex import LpProblem
 
 
 def floyd_warshall_dist(topo, weights=None):
@@ -190,7 +192,7 @@ def simple_paths(topo, s, d, limit=10_000):
 def lp_vertex_enumeration_oracle(problem, tol=1e-9):
     """Minimum objective over all vertices of the (bounded) feasible region.
 
-    Enumerates every n-subset of {rows as equalities} U {bound hyperplanes},
+    Enumerates every n-subset of {rows as equalities} U {x_j = 0},
     solves, and keeps feasible points. Only for small problems.
     """
     n = problem.n_vars
@@ -200,9 +202,7 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        hyperplanes.append((e, problem.lower[j]))
-        if np.isfinite(problem.upper[j]):
-            hyperplanes.append((e, problem.upper[j]))
+        hyperplanes.append((e, 0.0))
     best = np.inf
     found = False
     for combo in combinations(range(len(hyperplanes)), n):
@@ -212,14 +212,13 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
             x = np.linalg.solve(a_sq, b_sq)
         except np.linalg.LinAlgError:
             continue
-        if np.any(x < problem.lower - tol) or np.any(x > problem.upper + tol):
+        if np.any(x < -tol):
             continue
         ax = problem.a @ x
         ok = True
         for i, rel in enumerate(problem.rel):
             r = ax[i] - problem.b[i]
-            if (rel == "<=" and r > tol) or (rel == ">=" and r < -tol) or \
-                    (rel == "=" and abs(r) > tol):
+            if (rel == "<=" and r > tol) or (rel == "=" and abs(r) > tol):
                 ok = False
                 break
         if ok:
@@ -232,7 +231,9 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
 
 def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
     """Edge form of the rerouting LP; variable 0 is U, then one ratio per
-    (flow, link). Its size is 1 + K*M columns and M + K*N rows."""
+    (flow, link). Its size is 1 + K*M columns and M + K*N rows. The
+    ratios have no bound of 1: one above 1 needs a cycle, which only adds
+    load and, with eps > 0, cost."""
     flows = sorted(critical)
     n, m = topo.node_count, topo.link_count
     k = len(flows)
@@ -240,9 +241,6 @@ def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
 
     c = np.full(nv, epsilon)
     c[0] = 1.0
-    lower = np.zeros(nv)
-    upper = np.ones(nv)
-    upper[0] = np.inf
 
     rows = []
     rel = []
@@ -276,13 +274,13 @@ def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
             rel.append("=")
             rhs.append(-1.0 if i == s else (1.0 if i == d else 0.0))
 
-    return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs),
-                     lower=lower, upper=upper, var_names=names)
+    return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs), var_names=names)
 
 
 def edge_form_u(topo, tm, critical, background_load, epsilon):
-    """Max utilization of the edge-form optimum, read from its link loads."""
-    x = solve_lp(build_rerouting_lp(topo, tm, critical, background_load, epsilon)).x
+    """Max utilization of the edge-form optimum by HiGHS, read from its
+    link loads."""
+    _, x = highs_min(build_rerouting_lp(topo, tm, critical, background_load, epsilon))
     load = np.array(background_load, dtype=float)
     for fi, (s, d) in enumerate(sorted(critical)):
         load += x[1 + fi * topo.link_count: 1 + (fi + 1) * topo.link_count] * tm.demand[s, d]
@@ -317,24 +315,21 @@ def build_optimum_lp(topo, tm):
 
 
 def destination_form_u(topo, tm):
-    """Max utilization of the destination-form optimum, read from its link
-    loads."""
-    x = solve_lp(build_optimum_lp(topo, tm)).x
+    """Max utilization of the destination-form optimum by HiGHS, read
+    from its link loads."""
+    _, x = highs_min(build_optimum_lp(topo, tm))
     load = x[1:].reshape(-1, topo.link_count).sum(axis=0)
     return LinkLoads.from_load(load, topo.capacity).max_utilization
 
 
 def highs_min(problem):
-    """(objective, x) of an LpProblem with '<=' and '=' rows, solved by
-    scipy's HiGHS simplex."""
-    from scipy.optimize import linprog
-    rel = np.array(problem.rel)
-    assert not np.any(rel == ">="), "'>=' rows are not supported"
-    ub, eq = rel == "<=", rel == "="
-    res = linprog(problem.c, A_ub=problem.a[ub], b_ub=problem.b[ub],
-                  A_eq=problem.a[eq], b_eq=problem.b[eq],
-                  bounds=list(zip(problem.lower, np.where(np.isinf(problem.upper), None,
-                                                           problem.upper))),
+    """(objective, x) of an LpProblem, x >= 0, solved by scipy's HiGHS
+    simplex; the calling test is skipped where scipy is missing."""
+    import pytest
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    k = problem.n_inequalities
+    res = linprog(problem.c, A_ub=problem.a[:k], b_ub=problem.b[:k],
+                  A_eq=problem.a[k:], b_eq=problem.b[k:], bounds=(0, None),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
@@ -378,20 +373,16 @@ def positive_cycle(topo, ratios, tol=1e-9):
 
 def check_dual_certificate(problem, solution, tol=1e-9):
     """Check from the LP's own data that `solution.duals` prove `solution.x`
-    optimal; for problems with lower bounds 0 and no finite upper bound.
+    optimal.
 
-    Row signs: y <= tol on '<=' rows, y >= -tol on '>=' rows. Dual
-    feasibility: every reduced cost c - y A >= -tol (tol scaled by the
-    column's size). Strong duality: y b equals c x within 1e-9 relative.
-    Raises AssertionError naming the failed condition.
+    Row signs: y <= tol on '<=' rows. Dual feasibility: every reduced
+    cost c - y A >= -tol (tol scaled by the column's size). Strong
+    duality: y b equals c x within 1e-9 relative. Raises AssertionError
+    naming the failed condition.
     """
-    assert np.all(problem.lower == 0) and np.all(np.isinf(problem.upper)), \
-        "certificate check needs x >= 0 and no finite upper bounds"
     y = np.asarray(solution.duals, dtype=float)
     assert y.shape == (problem.n_rows,), "one dual per row"
-    rel = np.array(problem.rel)
-    assert np.all(y[rel == "<="] <= tol), "dual sign on a '<=' row"
-    assert np.all(y[rel == ">="] >= -tol), "dual sign on a '>=' row"
+    assert np.all(y[:problem.n_inequalities] <= tol), "dual sign on a '<=' row"
     scale = 1.0 + np.abs(problem.c) + np.abs(y) @ np.abs(problem.a)
     reduced = problem.c - y @ problem.a
     worst = int(np.argmin(reduced / scale))

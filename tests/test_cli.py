@@ -237,7 +237,7 @@ def test_dump_lp_flag(tmp_path, ring5_file, ring5):
     text = lp_path.read_text()
     assert "Minimize" in text and "Subject To" in text
     # the final path LP: one capacity row per link, one convexity row per flow
-    rows = text.split("Subject To\n")[1].split("Bounds\n")[0].splitlines()
+    rows = text.split("Subject To\n")[1].split("End\n")[0].splitlines()
     assert len(rows) == ring5.link_count + 2
     assert sum(row.endswith(" = 1.0") for row in rows) == 2
 

@@ -40,6 +40,31 @@ def test_src_imports_only_stdlib_and_numpy():
     assert not any(bad.values()), {k: v for k, v in bad.items() if v}
 
 
+def load_time_imports(path):
+    """The modules `path` imports when it is loaded: every import outside
+    a function body."""
+    found, todo = [], list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_test_oracles_load_without_scipy():
+    """The benchmark executes tests/oracles.py for ecmp_fractions_oracle,
+    also where scipy is missing: only the oracles that solve LPs by HiGHS
+    import scipy, when called."""
+    found = load_time_imports(ROOT / "tests" / "oracles.py")
+    assert "numpy" in found
+    assert not [name for name in found if name.split(".")[0] == "scipy"]
+
+
 def test_benchmark_trace_targets_resolve():
     """Every (module, attribute) the benchmark's tracer wraps exists, even
     where the program no longer calls it: a traced run looks each one up.

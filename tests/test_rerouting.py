@@ -187,16 +187,18 @@ def test_path_lp_shapes(triangle):
     assert problem.rel == ["<="] * 6 + ["="] * 2
 
 
-def test_solution_pools_rebuild_the_last_lp(ring5):
+def test_solution_pools_rebuild_the_last_lp(ring5, monkeypatch):
+    solved = _record_solves(monkeypatch)
     tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=4)[0]
     flows = cf.top_k_critical(ring5, tm, 4).flows
-    bg = background_for(ring5, tm, flows)
-    sol = cf.solve_rerouting(ring5, tm, flows, bg)
-    eps = cf.default_epsilon(ring5, len(flows))
-    problem = build_path_lp(ring5, tm, sorted(flows), bg.load, sol.paths, eps)
+    sol = _solve_batch(ring5, [(tm, flows)])[0]
+    (_, _, problem, final), = _final_rounds(solved, ring5, [(tm, flows)], [sol])
     assert sorted(sol.paths) == sorted(flows)
     assert problem.n_rows == ring5.link_count + len(flows)
-    assert cf.solve_lp(problem).objective == pytest.approx(sol.objective, rel=1e-12)
+    # the LP built from the pools is optimal at the last round's basis
+    again = cf.solve_lp(problem, basis=final.basis, binv=final.binv)
+    assert again.iterations == 0 and not again.inverted
+    assert again.objective == pytest.approx(sol.objective, rel=1e-12)
     for f, pool in sol.paths.items():
         assert len(set(pool)) == len(pool)
         assert all(p in simple_paths(ring5, *f) for p in pool)
@@ -329,33 +331,42 @@ def _optimum_instances():
     yield abilene, cf.generate_tms(abilene, "exponential", 1, 0.9, seed=0)[0]
 
 
-def test_optimum_lp_duals_certify_optimality():
+def _optimum_final_round(solved, topo, tm):
+    """(the optimum's path LP over its final pools, the LpSolution of its
+    last round): every flow with demand over zero background."""
+    solved.clear()
+    case = (tm, [f for f in topo.flows() if tm.demand[f] > 0])
+    sol = _solve_batch(topo, [case])[0]
+    (_, _, problem, final), = _final_rounds(solved, topo, [case], [sol])
+    return problem, final
+
+
+def test_optimum_lp_duals_certify_optimality(monkeypatch):
+    solved = _record_solves(monkeypatch)
     for topo, tm in _optimum_instances():
-        problem = build_optimum_lp(topo, tm)
-        check_dual_certificate(problem, cf.solve_lp(problem))
+        check_dual_certificate(*_optimum_final_round(solved, topo, tm))
 
 
-def test_path_lp_duals_certify_optimality(ring5):
-    cases = [_abilene_case(13)]
+def test_path_lp_duals_certify_optimality(ring5, monkeypatch):
+    solved = _record_solves(monkeypatch)
+    topo, tm, flows, _ = _abilene_case(13)
+    groups = [(topo, [(tm, flows)])]
     for topo in (cf.load_topology(ABILENE), cf.random_topology(8, 6, seed=3)):
         tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=1)[0]
-        # the optimum's LP: every flow over zero background
-        cases.append((topo, tm, topo.flows(), background_for(topo, tm, topo.flows())))
+        groups.append((topo, [(tm, topo.flows())]))  # the optimum's LP: every flow
     for seed in range(4):
         tm = cf.generate_tms(ring5, "exponential", 1, 0.9, seed=seed)[0]
-        flows = cf.top_k_critical(ring5, tm, 2 + seed).flows
-        cases.append((ring5, tm, flows, background_for(ring5, tm, flows)))
-    for topo, tm, flows, bg in cases:
-        sol = cf.solve_rerouting(topo, tm, flows, bg)
-        eps = cf.default_epsilon(topo, len(flows))
-        problem = build_path_lp(topo, tm, sorted(flows), bg.load, sol.paths, eps)
-        check_dual_certificate(problem, cf.solve_lp(problem))
+        groups.append((ring5, [(tm, cf.top_k_critical(ring5, tm, 2 + seed).flows)]))
+    for topo, cases in groups:
+        solved.clear()
+        for _, _, problem, final in _final_rounds(solved, topo, cases,
+                                                  _solve_batch(topo, cases)):
+            check_dual_certificate(problem, final)
 
 
-def test_dual_certificate_rejects_wrong_duals():
-    topo, tm = next(_optimum_instances())
-    problem = build_optimum_lp(topo, tm)
-    good = cf.solve_lp(problem)
+def test_dual_certificate_rejects_wrong_duals(monkeypatch):
+    problem, good = _optimum_final_round(_record_solves(monkeypatch),
+                                         *next(_optimum_instances()))
     wrong = [good.duals * 0.5, -good.duals, np.zeros_like(good.duals)]
     for duals in wrong:
         with pytest.raises(AssertionError):
@@ -397,24 +408,22 @@ def _stack_position(sols, i, r):
 
 
 def test_no_phase_one_in_any_round(monkeypatch):
-    solved = []  # every stacked solve the batches make
-    def record(*args, **kwargs):
-        solved.append(solve_lp(*args, **kwargs))
-        return solved[-1]
-    monkeypatch.setattr(rerouting, "solve_lp", record)
+    """Every round starts from a feasible basis (solve_lp takes no other
+    start), and round_pivots holds each round's pivots."""
+    solved = _record_solves(monkeypatch)
     rounds = 0
     for topo, cases in _reward_groups():
         solved.clear()
         sols = _solve_batch(topo, cases)
-        assert [int(s.phase1_iterations.sum()) for s in solved] == [0] * len(solved)
-        for r, s in enumerate(solved):  # round r's stack holds the LPs with a round r
+        for r, (_, s) in enumerate(solved):  # round r's stack holds the LPs with a round r
             assert [sol.round_pivots[r] for sol in sols if len(sol.round_pivots) > r] \
-                == [(0, int(p)) for p in s.phase2_iterations]
+                == s.pivots.tolist()
+            assert s.iterations == s.pivots.sum()
         rounds += sum(len(sol.round_pivots) for sol in sols)
     assert rounds > 2 * 43  # column generation ran past its first round
 
 
-def test_cold_path_lp_needs_phase_one_and_the_crash_basis_does_not():
+def test_crash_basis_starts_the_seed_path_lp():
     topo, tm, flows, bg = _abilene_case(13)
     flows = sorted(flows)
     n, m = topo.node_count, topo.link_count
@@ -423,18 +432,19 @@ def test_cold_path_lp_needs_phase_one_and_the_crash_basis_does_not():
     problem = build_path_lp(topo, tm, flows, bg.load, paths,
                             cf.default_epsilon(topo, len(flows)))
     demand = np.array([tm.demand[f] for f in flows])
-    cold = solve_lp(problem)
     basis, binv = rerouting._crash_start(topo, demand[None],
                                          [(fi, paths[f][0]) for fi, f in enumerate(flows)],
                                          bg.load[None], problem.a[None, :m, 1:].transpose(0, 2, 1))
     warm = solve_lp(problem, basis=basis[0])
     handed = solve_lp(problem, basis=basis[0], binv=binv[0])  # the closed-form B^-1
-    assert cold.phase1_iterations > 0 and warm.phase1_iterations == 0
     assert warm.inverted and not handed.inverted
-    for s in (cold, warm, handed):
-        assert s.phase1_iterations + s.phase2_iterations == s.iterations
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
-    assert handed.objective == pytest.approx(cold.objective, rel=1e-12)
+    # one path per flow leaves U alone to choose: the crash basis is optimal
+    assert warm.iterations == handed.iterations == 0
+    assert handed.objective == pytest.approx(warm.objective, rel=1e-12)
+    b = np.hstack([problem.a, np.eye(len(problem.b))[:, :m]])[:, basis[0]]
+    assert np.abs(b @ binv[0] - np.eye(len(problem.b))).max() <= 1e-12
+    objective, _ = highs_min(problem)  # the seed paths alone: no column generation
+    assert warm.objective == pytest.approx(objective, rel=1e-9)
 
 
 def test_rerouting_keeps_no_state_between_calls():
@@ -526,8 +536,7 @@ def test_b_never_inverted(monkeypatch):
         sols = _solve_batch(topo, cases)
         for _, s in solved:
             assert not s.inverted.any()
-            pivots = s.phase1_iterations + s.phase2_iterations
-            assert np.all(s.refreshes <= pivots // simplex.REFRESH_EVERY)
+            assert np.all(s.refreshes <= s.pivots // simplex.REFRESH_EVERY)
         for (_, flows), sol in zip(cases, sols):
             assert len(sol.round_columns) == len(sol.round_pivots)
             assert sol.round_columns[0] == len(flows) and 0 not in sol.round_columns
@@ -537,27 +546,44 @@ def test_b_never_inverted(monkeypatch):
     assert handed_over > lps  # more later rounds than LPs
 
 
+def _final_rounds(solved, topo, cases, sols):
+    """(stack, position in it, build_path_lp over the final pools, the
+    LpSolution the stack's solve gave the LP) of each case's last round,
+    recorded in `solved` as by _record_solves. The LpSolution is cut to
+    the built LP's columns and numbered as it (a stack's slacks follow
+    its widest LP)."""
+    out = []
+    for i, ((tm, flows), sol) in enumerate(zip(cases, sols)):
+        last = len(sol.round_pivots) - 1
+        (stack, got), at = solved[last], _stack_position(sols, i, last)
+        built = build_path_lp(topo, tm, sorted(flows), background_for(topo, tm, flows).load,
+                              sol.paths, cf.default_epsilon(topo, len(flows)))
+        n, width = built.n_vars, stack.n_vars
+        basis = got.basis[at]
+        final = cf.LpSolution(x=got.x[at, :n], objective=float(got.objective[at]),
+                              pivots=int(got.pivots[at]), duals=got.duals[at],
+                              basis=np.where(basis >= width, basis - width + n, basis),
+                              binv=got.binv[at])
+        out.append((stack, at, built, final))
+    return out
+
+
 def test_appended_lp_equals_built_lp(monkeypatch):
     """Each LP's last round, in its place in the stack, is build_path_lp
-    over its final pools, padded with zero columns fixed at 0."""
+    over its final pools, padded with zero columns of zero cost."""
     solved = _record_solves(monkeypatch)
     for topo, cases in _reward_groups():
         solved.clear()
         sols = _solve_batch(topo, cases)
-        for i, ((tm, flows), sol) in enumerate(zip(cases, sols)):
-            last = len(sol.round_pivots) - 1
-            stack, at = solved[last][0], _stack_position(sols, i, last)
-            built = build_path_lp(topo, tm, sorted(flows), background_for(topo, tm, flows).load,
-                                  sol.paths, cf.default_epsilon(topo, len(flows)))
+        for sol, (stack, at, built, final) in zip(sols, _final_rounds(solved, topo, cases,
+                                                                   sols)):
             n = built.n_vars
-            for name in ("c", "lower", "upper"):
-                assert np.array_equal(getattr(stack, name)[at, :n], getattr(built, name)), name
+            assert np.array_equal(stack.c[at, :n], built.c)
             assert np.array_equal(stack.a[at, :, :n], built.a)
             assert np.array_equal(stack.b[at], built.b)
             assert stack.rel == built.rel
-            padding = np.concatenate([stack.c[at, n:], stack.a[at, :, n:].ravel(),
-                                      stack.lower[at, n:], stack.upper[at, n:]])
-            assert not padding.any()
+            assert not np.concatenate([stack.c[at, n:], stack.a[at, :, n:].ravel()]).any()
+            assert final.objective == sol.objective
 
 
 def _batch_cases():
