@@ -22,10 +22,10 @@ for (method, metric), (mean, std) in sorted(aggregates.items()):
 
 print("\n=== the delay optimum of one matrix ===")
 _, optimum = cf.solve_optimal_all_flows(topo, tms[0])
-omega, _, steps, gap, pool = critflow.rerouting._delay_optimum(
-    topo, tms[0], optimum, max_iters=5000, tol=1e-5)
-print(f"  omega {omega:.6f} after {steps} gradient-projection steps, relative "
-      f"duality gap {gap:.2e}, {pool} paths (the optimum's LP had "
+run = critflow.rerouting._delay_optimum(topo, tms[0], optimum, max_iters=5000, tol=1e-5)
+print(f"  omega {run.omega:.6f} after {run.steps} projected Newton steps "
+      f"({run.cg_iters} conjugate-gradient iterations, {run.backtracks} step halvings), "
+      f"relative duality gap {run.gap:.2e}, {run.pool} paths (the optimum's LP had "
       f"{sum(map(len, optimum.paths.values()))})")
 
 print("\n=== K sweep with the exhaustive selector (diamond, 12 flows) ===")

@@ -13,7 +13,7 @@ solved by scipy's HiGHS rather than critflow's own simplex; a
 dual certificate checked from the LP's own data instead of the solver's
 word; Frank-Wolfe (all-or-nothing steps by Floyd-Warshall and one loop
 over the nodes per destination, line search by plain bisection) as an
-upper reference for the gradient-projection delay optimum, and Kelley's
+upper reference for the projected Newton delay optimum, and Kelley's
 cutting planes solved by HiGHS as a lower bound on it; one heap Dijkstra
 per flow instead of the batched Bellman-Ford that finds the seed paths
 and prices every flow at once. The oracles that need scipy import it
@@ -489,7 +489,7 @@ def frank_wolfe_oracle(topo, tm, start, max_iters=500, tol=1e-5):
     return omega, load, steps
 
 
-def delay_lower_bound_kelley(topo, tm, rtol=1e-6, max_rounds=100):
+def delay_lower_bound_kelley(topo, tm, rtol=1e-6, max_rounds=100, tangents=()):
     """A lower bound on the minimum over all routings of the delay
     sum_e f_e(l_e), f_e(l) = l / (c_e - l), certified within relative rtol
     of that minimum, from scipy's HiGHS.
@@ -497,9 +497,12 @@ def delay_lower_bound_kelley(topo, tm, rtol=1e-6, max_rounds=100):
     Kelley's cutting planes over link flows, one commodity per source: f_e
     is convex, so each tangent z_e >= f_e(a) + f_e'(a) (l_e - a) lies below
     it, and min sum_e z_e over every routing subject to any set of tangents
-    is a lower bound. The first tangents sit at fixed shares of capacity;
-    each round adds those at the LP's own loads, whose delay, when they lie
-    under capacity, is an upper bound. It returns once the two meet.
+    is a lower bound. The first tangents sit at fixed shares of capacity
+    and at each (M,) load vector in `tangents`; each round adds those at
+    the LP's own loads, whose delay, when they lie under capacity, is an
+    upper bound. It returns once the two meet, so loads given in
+    `tangents` can only save rounds: the bound and its stop rest on the
+    LP alone, wherever the points come from.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -520,8 +523,9 @@ def delay_lower_bound_kelley(topo, tm, rtol=1e-6, max_rounds=100):
         b_eq.append(out)
     b_eq = np.concatenate(b_eq)
     c = np.concatenate([np.zeros(k * m), np.ones(m)])
-    link = np.tile(np.arange(m), 6)
-    at = np.concatenate([share * cap for share in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99)])
+    link = np.tile(np.arange(m), 6 + len(tangents))
+    at = np.concatenate([share * cap for share in (0.0, 0.5, 0.8, 0.9, 0.95, 0.99)]
+                        + [np.minimum(a, 0.999 * cap) for a in tangents])
     upper = np.inf
     for _ in range(max_rounds):
         ce = cap[link]
