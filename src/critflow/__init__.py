@@ -15,7 +15,7 @@ from .topology import (Topology, Link, load_topology, parse_topology,
 from .traffic import (TrafficMatrix, Dataset, generate_tms, split_dataset,
                       load_tms, save_tms, scale_tm_for_delay, TrafficError)
 from .ecmp import (EcmpFractions, LinkLoads, compute_ecmp_fractions,
-                   ecmp_link_loads, ecmp_max_utilization, RoutingError)
+                   ecmp_link_loads, ecmp_max_utilization)
 from .simplex import (LpProblem, LpSolution, solve_lp, lp_to_text, dump_lp,
                       LpError, LpUnboundedError,
                       LpIterationLimitError)

@@ -1,10 +1,12 @@
 """Command-line entry points for the experiment recipes.
 
 Subcommands: train, eval, sweep-k, sweep-hyper, generate-tm,
-inspect-topology. Every flag has a config-file twin (flat key=value,
-dashes as underscores); command-line values win. The effective
-configuration is echoed into the output directory so any run can be
-reproduced from its artifacts plus the seed.
+inspect-topology. Each takes only the flags it reads. Every flag has a
+config-file twin (flat key=value, dashes as underscores), and a config
+file may set the flags of every subcommand, so one file can drive them
+all; command-line values win. The effective configuration is echoed
+into the output directory so any run can be reproduced from its
+artifacts plus the seed.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/solver error.
 """
@@ -40,72 +42,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _global_flags(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--dump-lp", default=None)
+def _methods(text):
+    """--methods: comma-separated names from evaluation.METHODS."""
+    for name in (m.strip() for m in text.split(",")):
+        if name and name not in evaluation.METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {name!r} (choose from {', '.join(evaluation.METHODS)})")
+    return text
 
 
-def _experiment_flags(p):
-    p.add_argument("--topology", default=None)
-    p.add_argument("--tms", default=None, help="traffic matrix file")
-    p.add_argument("--tm-model", choices=["exponential", "uniform"], default=None)
-    p.add_argument("--tm-count", type=int, default=None)
-    p.add_argument("--tm-target-util", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-fraction", type=float, default=None)
-    p.add_argument("--train-fraction", type=float, default=None)
-
-
-def _trainer_flags(p):
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--alpha-min", type=float, default=None)
-    p.add_argument("--decay-every", type=int, default=None)
-    p.add_argument("--decay-base", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--width", type=int, default=None)
+# every option once; each subcommand takes only the options it reads
+_OPTIONS = {
+    "seed": dict(type=int), "out": {}, "topology": {},
+    "tms": dict(help="traffic matrix file"),
+    "tm-model": dict(choices=["exponential", "uniform"]),
+    "tm-count": dict(type=int), "tm-target-util": dict(type=float),
+    "train-fraction": dict(type=float),
+    "k": dict(type=int), "k-fraction": dict(type=float),
+    "iterations": dict(type=int), "batch-size": dict(type=int),
+    "alpha0": dict(type=float), "alpha-min": dict(type=float),
+    "decay-every": dict(type=int), "decay-base": dict(type=float),
+    "beta": dict(type=float), "width": dict(type=int),
+    "checkpoint-every": dict(type=int), "dump-lp": {}, "out-file": {},
+    "checkpoint": {}, "methods": dict(type=_methods),
+    "skip-delay": dict(action="store_const", const=True),
+    "fractions": {},
+    "selector": dict(choices=["auto", "brute_force", "policy", "top_k", "top_k_critical"]),
+    "alphas": {}, "widths": {}, "betas": {},
+}
+_DATASET = "seed out topology tms tm-model tm-count tm-target-util train-fraction"
+_TRAINING = "iterations batch-size alpha-min decay-every decay-base"
+_SUBCOMMAND_OPTIONS = {
+    "inspect-topology": "topology",
+    "generate-tm": "seed out topology tm-model tm-count tm-target-util out-file",
+    "train": f"{_DATASET} k k-fraction {_TRAINING} alpha0 beta width "
+             "checkpoint-every dump-lp",
+    "eval": f"{_DATASET} k k-fraction checkpoint methods skip-delay dump-lp",
+    "sweep-k": f"{_DATASET} fractions selector checkpoint",
+    "sweep-hyper": f"{_DATASET} k k-fraction {_TRAINING} alphas widths betas",
+}
 
 
 def build_parser():
     parser = _Parser(prog="critflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, flags=()):
-        p = sub.add_parser(name)
-        _global_flags(p)
-        for f in flags:
-            f(p)
-        return p
-
-    add("inspect-topology", [_experiment_flags])
-
-    p = add("generate-tm", [_experiment_flags])
-    p.add_argument("--out-file", default=None)
-
-    add("train", [_experiment_flags, _trainer_flags])
-
-    p = add("eval", [_experiment_flags])
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--methods", default=None)
-    p.add_argument("--skip-delay", action="store_const", const=True, default=None)
-
-    p = add("sweep-k", [_experiment_flags])
-    p.add_argument("--fractions", default=None)
-    p.add_argument("--selector", default=None,
-                   choices=["auto", "brute_force", "policy", "top_k", "top_k_critical"])
-    p.add_argument("--checkpoint", default=None)
-
-    p = add("sweep-hyper", [_experiment_flags, _trainer_flags])
-    p.add_argument("--alphas", default=None)
-    p.add_argument("--widths", default=None)
-    p.add_argument("--betas", default=None)
+    for name, options in _SUBCOMMAND_OPTIONS.items():
+        # no prefixes: sweep-hyper's --width would be taken for --widths
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", default=None)
+        for option in options.split():
+            p.add_argument(f"--{option}", default=None, **_OPTIONS[option])
     # a config file may set any option of any subcommand, and nothing else
-    parser.config_keys = frozenset(
-        a.dest for sp in sub.choices.values() for a in sp._actions) - {"help", "config"}
+    parser.config_actions = {a.dest: a for sp in sub.choices.values()
+                             for a in sp._actions if a.dest not in ("help", "config")}
     return parser
 
 
@@ -121,15 +110,24 @@ DEFAULTS = {
     "out_file": None, "skip_delay": False,
 }
 
-_TYPED = {"seed": int, "checkpoint_every": int, "tm_count": int,
-          "iterations": int, "batch_size": int, "decay_every": int, "width": int,
-          "k": int, "k_fraction": float, "train_fraction": float,
-          "tm_target_util": float, "alpha0": float, "alpha_min": float,
-          "decay_base": float, "beta": float,
-          "skip_delay": lambda s: s.lower() in ("1", "true", "yes")}
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config(path, known_keys):
+def _config_value(action, text):
+    """A config file's value for the option of `action`, checked as the
+    command line checks it: its type and choices, and for a switch one of
+    1/0/true/false/yes/no. An empty value leaves the option unset."""
+    if text == "":
+        return None
+    if action.nargs == 0:
+        return _SWITCH[text.lower()]
+    val = action.type(text) if action.type else text
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(text)
+    return val
+
+
+def _read_config(path, actions):
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -140,21 +138,21 @@ def _read_config(path, known_keys):
                 raise UsageError(f"{path} line {line_no}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in known_keys:
+            if key not in actions:
                 raise UsageError(f"{path} line {line_no}: unknown key {key!r}")
             try:
-                out[key] = _TYPED.get(key, str)(val) if val != "" else None
-            except ValueError:
+                out[key] = _config_value(actions[key], val)
+            except (KeyError, ValueError, argparse.ArgumentTypeError):
                 raise UsageError(f"{path} line {line_no}: bad value {val!r} "
                                  f"for {key!r}") from None
     return out
 
 
-def resolve_options(args, known_keys):
+def resolve_options(args, config_actions):
     """Merge CLI > config file > defaults into one flat namespace."""
     opts = dict(DEFAULTS)
     if args.config:
-        opts.update(_read_config(args.config, known_keys))
+        opts.update(_read_config(args.config, config_actions))
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -401,7 +399,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        opts = resolve_options(args, parser.config_keys)
+        opts = resolve_options(args, parser.config_actions)
         opts["command"] = args.command
         return COMMANDS[args.command](opts)
     except UsageError as exc:

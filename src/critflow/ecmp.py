@@ -4,8 +4,9 @@ Splitting follows deployed-router (OSPF) semantics: at every node, traffic
 toward a destination divides equally across all next hops that lie on a
 minimum-cost path, independently at each hop. The per-flow fraction on a
 link is the absorption fraction that results from this per-hop process.
-All destinations are solved at once, from one all-pairs distance matrix
-(`topology.shortest_distances`) and one stacked matrix inverse.
+All destinations are solved at once, from the topology's min-cost
+distances (`Topology.cost_dist`, kept at construction) and one stacked
+matrix inverse.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import shortest_distances
-
 # Two summed costs are "equal" within this tolerance; exact for integral costs.
 COST_TIE_TOL = 1e-12
-
-
-class RoutingError(Exception):
-    pass
 
 
 @dataclass
@@ -59,10 +54,7 @@ def compute_ecmp_fractions(topo):
     """
     n, m = topo.node_count, topo.link_count
     src, dst = topo.link_src, topo.link_dst
-    dist = shortest_distances(topo, topo.cost)
-    if not np.isfinite(dist).all():
-        d, bad = np.argwhere(~np.isfinite(dist.T))[0]
-        raise RoutingError(f"no path from node {bad} to node {d}")
+    dist = topo.cost_dist
     # on[e, d]: link e is a next hop toward d; nothing leaves d itself
     on = np.abs(dist[src] - (topo.cost[:, None] + dist[dst])) <= COST_TIE_TOL
     on[np.arange(m), src] = False

@@ -61,8 +61,10 @@ minimizer starts from its path pools and shares. The pools are sparse:
 each path is its link ids plus its pair, so path lengths are an
 np.add.reduceat over hops and loads an np.bincount. Each step works
 under the marginal delays w = c/(c-l)^2 and the curvatures h =
-2c/(c-l)^3. A pair whose pool lacks a path as short as its distance
-(topology.shortest_distances) gains its shortest-path tree's path. Each
+2c/(c-l)^3. One shortest_path_trees pass per step, from the pairs'
+distinct sources under w, gives every pair's distance, for the duality
+gap, and its shortest-path tree; a pair whose pool lacks a path as
+short as its distance gains its tree's path. Each
 pair's largest-flow path is its reference and carries the rest of its
 demand; the other paths' flows are the variables. The paths that a
 diagonal Newton step would empty are the epsilon-binding set (Bertsekas
@@ -85,7 +87,7 @@ import numpy as np
 
 from .ecmp import LinkLoads
 from .simplex import REDUCED_COST_TOL, LpProblem, solve_lp
-from .topology import shortest_distances, shortest_path_trees, tree_path
+from .topology import shortest_path_trees, tree_path
 
 CONSERVATION_TOL = 1e-7
 
@@ -224,7 +226,7 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     src, dst = np.array(flows).transpose(2, 0, 1)  # (B, K) each
     demand = np.array([tm.demand[s, d] for tm, s, d in zip(tms, src, dst)])
     # seeds: each flow's path in the min-cost tree from its source
-    pred = topo.cost_tree_preds
+    pred = topo.cost_pred
     pools = [[[tree_path(topo, pred[s], s, d)] for s, d in f] for f in flows]
     seeds = [(lp * k + fi, pool[0]) for lp in range(size)
              for fi, pool in enumerate(pools[lp])]
@@ -533,10 +535,13 @@ def _delay_optimum(topo, tm, start, max_iters, tol):
     load = _path_loads(links, hops, x, m)
     omega = float(np.sum(load / (cap - load)))
     cg_iters = backtracks = 0
+    # each pair's tree: the one from its source
+    sources, tree = np.unique(src, return_inverse=True)
     for steps in range(max_iters + 1):
         room = cap - load
         w = cap / room ** 2
-        dist = shortest_distances(topo, w)[src, dst]
+        dists, pred = shortest_path_trees(topo, sources, np.broadcast_to(w, (sources.size, m)))
+        dist = dists[tree, dst]
         gap = float(w @ load - demand @ dist)  # Omega - Omega* <= gap
         if gap <= tol * omega:
             return _DelayRun(omega, LinkLoads.from_load(load, cap), steps, gap / omega,
@@ -550,11 +555,9 @@ def _delay_optimum(topo, tm, start, max_iters, tol):
         # from its source, after the pool's end, with no flow
         short = np.flatnonzero(np.minimum.reduceat(lengths, first) > dist * (1 + 1e-12))
         if short.size:
-            sources, tree = np.unique(src[short], return_inverse=True)
-            _, pred = shortest_path_trees(topo, sources, np.broadcast_to(w, (sources.size, m)))
             new = []
-            for fi, t in zip(short.tolist(), tree.tolist()):
-                path = tree_path(topo, pred[t], src[fi], dst[fi])
+            for fi in short.tolist():
+                path = tree_path(topo, pred[tree[fi]], src[fi], dst[fi])
                 if path not in pools[fi]:
                     pools[fi].append(path)
                     new.append((fi, path))

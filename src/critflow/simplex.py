@@ -141,7 +141,7 @@ class LpSolution:
     binv: np.ndarray = None       # (m, m) B^-1 of the final basis, rows in basis order
 
 
-def solve_lp(problem, basis, binv=None, max_iters=None, tol=REDUCED_COST_TOL):
+def solve_lp(problem, basis, binv=None, max_iters=None):
     """Solve to an optimal basic feasible solution from `basis`; for a
     stack, every LP of it, in one pivot loop.
 
@@ -159,10 +159,11 @@ def solve_lp(problem, basis, binv=None, max_iters=None, tol=REDUCED_COST_TOL):
     ValueError.
 
     The row duals y = c_B B^-1 of the final basis come back as `duals`:
-    y <= 0 on the '<=' rows (within `tol`), and every column's reduced
-    cost c_j - y @ A[:, j] is >= -tol. The solution also counts each
-    LP's pivots, the degenerate ones, whether Bland's rule took over and
-    the refreshes of B^-1, and reports the largest row residual.
+    y <= 0 on the '<=' rows (within REDUCED_COST_TOL), and every column's
+    reduced cost c_j - y @ A[:, j] is >= -REDUCED_COST_TOL. The solution
+    also counts each LP's pivots, the degenerate ones, whether Bland's
+    rule took over and the refreshes of B^-1, and reports the largest row
+    residual.
     `max_iters` bounds the pivots of each LP.
 
     Raises LpUnboundedError / LpIterationLimitError when any LP of the
@@ -193,7 +194,7 @@ def solve_lp(problem, basis, binv=None, max_iters=None, tol=REDUCED_COST_TOL):
     if max_iters is None:
         max_iters = max(5000, 60 * (m + st.n_total))
     c2 = np.concatenate([c, np.zeros((size, n_slack))], axis=1)
-    _run(st, c2, max_iters, tol)
+    _run(st, c2, max_iters)
 
     x = np.maximum(st.values()[:, :n], 0.0)  # shave solver-tolerance dust off 0
     resid = (x[:, None, :] @ at)[:, 0] - b
@@ -363,7 +364,7 @@ def _warm_start(st, binv, scale, stacked):
                       f"{st.xb[i].min():.3e}")
 
 
-def _run(full, c, max_iters, tol):
+def _run(full, c, max_iters):
     """Pivot every LP of the stack until optimal for its costs c (B,
     n_total). Mutates the stack in place. An LP with nothing left to enter
     leaves the loop: its state goes back to the stack, and the others go
@@ -389,7 +390,7 @@ def _run(full, c, max_iters, tol):
         dual = np.vecmat(c[lp, st.basis], st.binv)
         np.subtract(c[:, :n], np.vecdot(st.at, dual[:, None, :]), out=d[:, :n])
         np.negative(dual[:, :n_slack], out=d[:, n:])
-        cand = ~st.in_basis & (d < -tol)
+        cand = ~st.in_basis & (d < -REDUCED_COST_TOL)
         live = cand.any(axis=1)
         if not live.all():
             st.iterations += steps

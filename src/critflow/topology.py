@@ -5,14 +5,14 @@ carry a positive capacity (traffic units) and a positive routing cost.
 Flows are ordered (source, destination) pairs; `flow_index` maps them onto
 the contiguous id range 0..N*(N-1)-1 used by selectors and the policy net.
 
-Two shortest-path kernels. `shortest_distances` gives all-pairs distances
-under one set of link weights by min-plus squaring; ECMP, the delay
-optimum's duality gap and the strong-connectivity check (every distance
-finite) use it. `shortest_path_trees` grows K single-source trees at once,
-each under its own link weights, by a batched Bellman-Ford over the
-in-link table; the rerouting LP's pricing and the delay optimum's new
-paths use it, and `Topology.cost_tree_preds` keeps the min-cost trees
-from every node, the rerouting LP's seed paths, once per topology.
+One shortest-path kernel. `shortest_path_trees` grows K single-source
+trees at once, each under its own link weights, by a batched Bellman-Ford
+over the in-link table. Every topology grows its min-cost trees from every
+node once, at construction, and keeps their distances (`cost_dist`) and
+preds (`cost_pred`): the strong-connectivity check (every distance
+finite), ECMP and the rerouting LP's seed paths read them. The rerouting
+LP's pricing and the delay optimum's duality gap and new paths call the
+kernel under their own weights.
 
 Text format (UTF-8, line oriented, `#` starts a comment):
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +76,10 @@ class Topology:
     # (N, max in-degree): row i holds in_links[i], padded by repeating its
     # first link
     in_link_table: np.ndarray = field(init=False, repr=False)
+    # (N, N), read-only: shortest_path_trees' dist and pred from every node
+    # under the link costs (row s: the min-cost tree from s)
+    cost_dist: np.ndarray = field(init=False, repr=False)
+    cost_pred: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.links = tuple(Link(*lk) for lk in self.links)
@@ -85,8 +88,6 @@ class Topology:
         self.cost = np.array([lk.cost for lk in self.links], dtype=float)
         self.link_src = np.array([lk.src for lk in self.links], dtype=int)
         self.link_dst = np.array([lk.dst for lk in self.links], dtype=int)
-        if not np.isfinite(shortest_distances(self, self.cost)).all():
-            raise TopologyValidationError("not strongly connected")
         self.link_index = {(lk.src, lk.dst): i for i, lk in enumerate(self.links)}
         out = [[] for _ in range(self.node_count)]
         inc = [[] for _ in range(self.node_count)]
@@ -95,18 +96,18 @@ class Topology:
             inc[lk.dst].append(i)
         self.out_links = tuple(tuple(v) for v in out)
         self.in_links = tuple(tuple(v) for v in inc)
+        # a node without in-links has no first link to pad its row with
+        if not all(inc):
+            raise TopologyValidationError("not strongly connected")
         width = max(len(v) for v in inc)
         self.in_link_table = np.array([v + v[:1] * (width - len(v)) for v in inc])
-
-    @cached_property
-    def cost_tree_preds(self):
-        """shortest_path_trees' pred from every node under the link costs
-        (row s: the min-cost tree from s), computed on first use; read-only."""
         n = self.node_count
-        _, pred = shortest_path_trees(self, np.arange(n),
-                                      np.broadcast_to(self.cost, (n, self.link_count)))
-        pred.flags.writeable = False
-        return pred
+        self.cost_dist, self.cost_pred = shortest_path_trees(
+            self, np.arange(n), np.broadcast_to(self.cost, (n, self.link_count)))
+        if not np.isfinite(self.cost_dist).all():
+            raise TopologyValidationError("not strongly connected")
+        self.cost_dist.flags.writeable = False
+        self.cost_pred.flags.writeable = False
 
     @property
     def link_count(self):
@@ -142,25 +143,6 @@ def _validate(n, links):
         if not (lk.cost > 0 and np.isfinite(lk.cost)):
             raise TopologyValidationError(
                 f"link ({lk.src},{lk.dst}) cost must be positive, got {lk.cost}")
-
-
-def shortest_distances(topo, weights):
-    """dist[i, d]: the least total weight of a path from node i to node d
-    along directed links (inf where none), for weights >= 0 per link.
-
-    Min-plus squaring of the one-hop weight matrix: dist[i, d] = min over
-    k of dist[i, k] + dist[k, d], repeated until it covers paths of N - 1
-    hops.
-    """
-    n = topo.node_count
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[topo.link_src, topo.link_dst] = weights
-    hops = 1
-    while hops < n - 1:
-        dist = (dist[:, :, None] + dist[None]).min(axis=1)
-        hops *= 2
-    return dist
 
 
 def shortest_path_trees(topo, sources, weights):

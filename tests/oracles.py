@@ -1,8 +1,8 @@
 """Independent oracles the tests check the library against.
 
 These deliberately re-derive results through different algorithms than the
-implementation: Floyd-Warshall + recursive splitting instead of min-plus
-squaring + one stacked matrix inverse for ECMP; top-k-critical as a walk
+implementation: Floyd-Warshall + recursive splitting instead of the kept
+Bellman-Ford min-cost trees + one stacked matrix inverse for ECMP; top-k-critical as a walk
 over the links, hottest first, instead of one sort over the flows; bisection over max-flow feasibility instead of the
 simplex for single-flow min-max routing; exhaustive vertex enumeration for
 small LPs; the edge form of the rerouting LP (one split ratio per flow and

@@ -207,6 +207,10 @@ def test_config_file_twin_and_cli_override(tmp_path, ring5_file, capsys):
     ("sync=yes", "unknown key 'sync'"),
     ("actors=2", "unknown key 'actors'"),
     ("tm_count=many", "bad value 'many' for 'tm_count'"),
+    ("tm_model=gravity", "bad value 'gravity' for 'tm_model'"),
+    ("selector=bogus", "bad value 'bogus' for 'selector'"),
+    ("skip_delay=maybe", "bad value 'maybe' for 'skip_delay'"),
+    ("methods=ecmp,bogus", "bad value 'ecmp,bogus' for 'methods'"),
 ])
 def test_config_file_bad_line_is_usage_error(tmp_path, ring5_file, capsys,
                                              line, message):
@@ -216,6 +220,41 @@ def test_config_file_bad_line_is_usage_error(tmp_path, ring5_file, capsys,
     rc = run(["generate-tm", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     assert f"line 3: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_switch_values():
+    action = cli.build_parser().config_actions["skip_delay"]
+    for text, want in [("1", True), ("Yes", True), ("true", True),
+                       ("0", False), ("no", False), ("FALSE", False), ("", None)]:
+        assert cli._config_value(action, text) is want
+
+
+def test_eval_unknown_method_is_usage_error(tmp_path, ring5_file, capsys):
+    out = tmp_path / "ev"
+    rc = run(["eval", "--topology", ring5_file, "--tm-count", "4", "--k", "2",
+              "--methods", "ecmp,bogus", "--out", str(out)])
+    assert rc == 1
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep-hyper", ["--alpha0", "0.01"]),
+    ("sweep-hyper", ["--width", "8"]),
+    ("sweep-hyper", ["--beta", "0.1"]),
+    ("eval", ["--checkpoint-every", "5"]),
+    ("sweep-k", ["--dump-lp", "x.lp"]),
+    ("sweep-k", ["--k", "2"]),
+    ("generate-tm", ["--train-fraction", "0.5"]),
+    ("inspect-topology", ["--seed", "1"]),
+    ("inspect-topology", ["--out", "x"]),
+])
+def test_unread_flags_are_usage_errors(tmp_path, ring5_file, command, flags):
+    out = tmp_path / "o"
+    rc = run([command, "--topology", ring5_file] + flags
+             + ([] if command == "inspect-topology" else ["--out", str(out)]))
+    assert rc == 1
     assert not out.exists()
 
 

@@ -165,8 +165,19 @@ def test_delay_optimum_certifies_where_a_shared_step_stalled():
     assert gap <= 1e-5 and steps <= 60
 
 
-def test_delay_optimum_reports_its_newton_work():
+def test_delay_optimum_reports_its_newton_work(monkeypatch):
     tm = cf.generate_tms(EVAL_MID, "exponential", 16, 0.9, seed=1003)[5]
-    run = critflow.rerouting._delay_optimum(EVAL_MID, tm, None, 5000, 1e-5)
+    _, start = cf.solve_optimal_all_flows(EVAL_MID, tm)
+    passes = []
+    trees = critflow.rerouting.shortest_path_trees
+
+    def counted(*args):
+        passes.append(1)
+        return trees(*args)
+
+    monkeypatch.setattr(critflow.rerouting, "shortest_path_trees", counted)
+    run = critflow.rerouting._delay_optimum(EVAL_MID, tm, start, 5000, 1e-5)
     assert run.steps > 0 and run.cg_iters > 0 and run.backtracks >= 0
+    # one tree pass per step, and one more for the certificate
+    assert len(passes) == run.steps + 1
     assert tuple(run) == (run.omega, run.loads, run.steps, run.gap, run.pool)

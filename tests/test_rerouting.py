@@ -477,28 +477,39 @@ def test_flow_listed_twice_or_to_itself_rejected(ring5):
 
 
 def _kernel_cases():
-    """(topology, per-flow link weights) over every flow: uniform weights,
-    pricing-like weights max(eps - y d / c, 0) with eps 1e-6 and with
-    eps 0 (mostly zero weights), and small integer weights (exact ties)."""
+    """(topology, sources, link weights per source, the (row, destination)
+    pairs to check). Per flow, each flow under its own weights: uniform
+    weights, pricing-like weights max(eps - y d / c, 0) with eps 1e-6 and
+    with eps 0 (mostly zero weights), and small integer weights (exact
+    ties). From every node under one weight vector, as validation, ECMP
+    and the delay optimum's gap call it: the link costs and uniform
+    weights, also on a 49-node stand-in."""
     rng = np.random.default_rng(23)
     topos = [cf.random_topology(n, int(rng.integers(0, n)), seed=int(rng.integers(100)))
              for n in (4, 5, 6, 7, 8, 8)]
     topos += [cf.load_topology(ABILENE), _ebone_sized()]
     for topo in topos:
         k, m = topo.flow_count, topo.link_count
+        sources = np.array([s for s, _ in topo.flows()])
+        checks = [(fi, d) for fi, (_, d) in enumerate(topo.flows())]
         demand = rng.uniform(0.1, 1.0, k)
         y = np.where(rng.uniform(size=m) < 0.2, -rng.uniform(0.0, 1.0, m), 0.0)
-        yield topo, rng.uniform(0.0, 1.0, (k, m))
+        yield topo, sources, rng.uniform(0.0, 1.0, (k, m)), checks
         for eps in (1e-6, 0.0):
-            yield topo, np.maximum(eps - np.outer(demand, y / topo.capacity), 0.0)
-        yield topo, rng.integers(0, 3, (k, m)).astype(float)
+            yield topo, sources, np.maximum(eps - np.outer(demand, y / topo.capacity), 0.0), checks
+        yield topo, sources, rng.integers(0, 3, (k, m)).astype(float), checks
+    tiscali_sized = cf.infer_capacities_from_costs(cf.random_topology(49, 37, seed=3), 1000.0)
+    for topo in topos + [tiscali_sized]:
+        n, m = topo.node_count, topo.link_count
+        for w in (topo.cost, rng.uniform(0.0, 1.0, m)):
+            yield topo, np.arange(n), np.broadcast_to(w, (n, m)), topo.flows()
 
 
 def test_batched_pricing_kernel_matches_dijkstra():
-    for topo, weights in _kernel_cases():
-        flows = topo.flows()
-        dist, pred = shortest_path_trees(topo, np.array([s for s, _ in flows]), weights)
-        for fi, (s, d) in enumerate(flows):
+    for topo, sources, weights, checks in _kernel_cases():
+        dist, pred = shortest_path_trees(topo, sources, weights)
+        for fi, d in checks:
+            s = sources[fi]
             _, want = dijkstra_path(topo, s, d, weights[fi])
             assert dist[fi, d] == pytest.approx(want, rel=1e-15, abs=0.0)
             path = tree_path(topo, pred[fi], s, d)

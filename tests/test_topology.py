@@ -3,6 +3,7 @@ import pytest
 
 import critflow as cf
 from conftest import ABILENE
+from oracles import floyd_warshall_dist
 
 DIAMOND_TEXT = """\
 nodes 4
@@ -175,3 +176,11 @@ def test_derived_link_arrays():
         # in link order, padded by repeating the first link
         pad = [links[0]] * (table.shape[1] - len(links))
         assert table[i].tolist() == list(links) + pad
+
+
+def test_min_cost_trees_kept_read_only():
+    topo = cf.load_topology(ABILENE)
+    n = topo.node_count
+    assert topo.cost_dist.shape == topo.cost_pred.shape == (n, n)
+    assert not topo.cost_dist.flags.writeable and not topo.cost_pred.flags.writeable
+    assert np.allclose(topo.cost_dist, floyd_warshall_dist(topo), rtol=1e-15, atol=0.0)
