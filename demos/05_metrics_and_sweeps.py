@@ -22,7 +22,7 @@ for (method, metric), (mean, std) in sorted(aggregates.items()):
 
 print("\n=== the delay optimum of one matrix ===")
 _, optimum = cf.solve_optimal_all_flows(topo, tms[0])
-run = critflow.rerouting._delay_optimum(topo, tms[0], optimum, max_iters=5000, tol=1e-5)
+run = critflow.rerouting._delay_optimum(topo, tms[0], optimum, max_iters=5000)
 print(f"  omega {run.omega:.6f} after {run.steps} projected Newton steps "
       f"({run.cg_iters} conjugate-gradient iterations, {run.backtracks} step halvings), "
       f"relative duality gap {run.gap:.2e}, {run.pool} paths (the optimum's LP had "

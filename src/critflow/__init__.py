@@ -13,7 +13,7 @@ from .topology import (Topology, Link, load_topology, parse_topology,
                        ring_with_chords, random_topology,
                        TopologyError, TopologyParseError, TopologyValidationError)
 from .traffic import (TrafficMatrix, Dataset, generate_tms, split_dataset,
-                      load_tms, save_tms, scale_tm_for_delay, TrafficError)
+                      load_tms, save_tms, TrafficError)
 from .ecmp import (EcmpFractions, LinkLoads, compute_ecmp_fractions,
                    ecmp_link_loads, ecmp_max_utilization)
 from .simplex import (LpProblem, LpSolution, solve_lp, lp_to_text, dump_lp,

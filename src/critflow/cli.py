@@ -26,12 +26,6 @@ from .rerouting import build_path_lp, default_epsilon, solve_rerouting
 from .simplex import dump_lp
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
 
-DEFAULT_FRACTIONS = "0,0.05,0.1,0.15,0.2"
-DEFAULT_METHODS = "ecmp,top_k,top_k_critical"
-SWEEP_ALPHAS = "0.01,0.001,0.0001"
-SWEEP_WIDTHS = "64,128,256"
-SWEEP_BETAS = "0.1,0.01"
-
 
 class UsageError(Exception):
     pass
@@ -42,13 +36,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _methods(text):
-    """--methods: comma-separated names from evaluation.METHODS."""
-    for name in (m.strip() for m in text.split(",")):
-        if name and name not in evaluation.METHODS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {name!r} (choose from {', '.join(evaluation.METHODS)})")
-    return text
+def _list_of(item):
+    """An argparse type for a comma-separated list of `item` values: blank
+    items are skipped, and a bad item or an empty list is an error."""
+    def parse(text):
+        values = []
+        for x in filter(None, (x.strip() for x in text.split(","))):
+            try:
+                values.append(item(x))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"bad item {x!r} in {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
+    return parse
+
+
+def _fraction(text):
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"k fraction {value} outside [0,1]")
+    return value
+
+
+def _method(name):
+    if name not in evaluation.METHODS:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {name!r} (choose from {', '.join(evaluation.METHODS)})")
+    return name
 
 
 # every option once; each subcommand takes only the options it reads
@@ -64,11 +79,12 @@ _OPTIONS = {
     "decay-every": dict(type=int), "decay-base": dict(type=float),
     "beta": dict(type=float), "width": dict(type=int),
     "checkpoint-every": dict(type=int), "dump-lp": {}, "out-file": {},
-    "checkpoint": {}, "methods": dict(type=_methods),
+    "checkpoint": {}, "methods": dict(type=_list_of(_method)),
     "skip-delay": dict(action="store_const", const=True),
-    "fractions": {},
+    "fractions": dict(type=_list_of(_fraction)),
     "selector": dict(choices=["auto", "brute_force", "policy", "top_k", "top_k_critical"]),
-    "alphas": {}, "widths": {}, "betas": {},
+    "alphas": dict(type=_list_of(float)), "widths": dict(type=_list_of(int)),
+    "betas": dict(type=_list_of(float)),
 }
 _DATASET = "seed out topology tms tm-model tm-count tm-target-util train-fraction"
 _TRAINING = "iterations batch-size alpha-min decay-every decay-base"
@@ -104,9 +120,9 @@ DEFAULTS = {
     "tm_model": "uniform", "tm_count": 20, "tm_target_util": 0.9,
     "iterations": 1000, "batch_size": 20, "alpha0": 0.001,
     "alpha_min": 0.0001, "decay_every": 500, "decay_base": 0.96,
-    "beta": 0.1, "width": 128, "methods": DEFAULT_METHODS,
-    "fractions": DEFAULT_FRACTIONS, "selector": "auto",
-    "alphas": SWEEP_ALPHAS, "widths": SWEEP_WIDTHS, "betas": SWEEP_BETAS,
+    "beta": 0.1, "width": 128, "methods": ["ecmp", "top_k", "top_k_critical"],
+    "fractions": [0.0, 0.05, 0.1, 0.15, 0.2], "selector": "auto",
+    "alphas": [0.01, 0.001, 0.0001], "widths": [64, 128, 256], "betas": [0.1, 0.01],
     "out_file": None, "skip_delay": False,
 }
 
@@ -170,6 +186,8 @@ def _echo_config(opts, out_dir):
             if key == "command":
                 continue
             val = opts[key]
+            if isinstance(val, list):  # as a list flag reads it back
+                val = ",".join(map(str, val))
             fh.write(f"{key}={'' if val is None else val}\n")
 
 
@@ -216,7 +234,7 @@ def _trainer_config(opts, k, iterations=None):
 
 def _maybe_dump_lp(opts, topo, tm, k):
     """Write the last path LP solved to reroute the top-K critical flows
-    of `tm`, with its final path pool."""
+    of `tm`: its columns in the order the solve appended them."""
     if not opts.get("dump_lp"):
         return
     fractions = compute_ecmp_fractions(topo)
@@ -224,7 +242,7 @@ def _maybe_dump_lp(opts, topo, tm, k):
     background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
     epsilon = default_epsilon(topo, len(flows))
     sol = solve_rerouting(topo, tm, flows, background, epsilon)
-    problem = build_path_lp(topo, tm, flows, background.load, sol.paths, epsilon)
+    problem = build_path_lp(topo, tm, background.load, sol.columns, epsilon)
     dump_lp(problem, opts["dump_lp"], name="rerouting")
     print(f"wrote LP dump to {opts['dump_lp']}")
 
@@ -278,7 +296,7 @@ def cmd_eval(opts):
     k = resolve_k(opts, topo.node_count)
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
-    methods = [m.strip() for m in opts["methods"].split(",") if m.strip()]
+    methods = opts["methods"]
     params = None
     if "policy" in methods:
         if not opts.get("checkpoint"):
@@ -303,10 +321,6 @@ def cmd_sweep_k(opts):
     dataset = _dataset(opts, topo)
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
-    fractions = [float(f) for f in opts["fractions"].split(",") if f.strip() != ""]
-    for f in fractions:
-        if not (0 <= f <= 1):
-            raise UsageError(f"k fraction {f} outside [0,1]")
     n = topo.node_count
     n_flows = n * (n - 1)
     selector = opts["selector"]
@@ -317,13 +331,13 @@ def cmd_sweep_k(opts):
     fr = compute_ecmp_fractions(topo)
     u_opts = [evaluation.solve_optimal_all_flows(topo, tm)[0] for tm in test]
     rows = []
-    for f in sorted(set(fractions)):
+    for f in sorted(set(opts["fractions"])):
         k = 0 if f == 0 else max(1, int(floor(f * n_flows + 0.5)))
         sel_name = selector
         if selector == "auto":
             if k == 0:
                 sel_name = "ecmp"
-            elif comb(n_flows, k) <= selectors.DEFAULT_COMBINATION_CAP:
+            elif comb(n_flows, k) <= selectors.COMBINATION_CAP:
                 sel_name = "brute_force"
             elif params is not None:
                 sel_name = "policy"
@@ -359,13 +373,10 @@ def cmd_sweep_hyper(opts):
     k = resolve_k(opts, topo.node_count)
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
-    alphas = [float(x) for x in opts["alphas"].split(",") if x.strip()]
-    widths = [int(x) for x in opts["widths"].split(",") if x.strip()]
-    betas = [float(x) for x in opts["betas"].split(",") if x.strip()]
     rows = []
-    for alpha in alphas:
-        for width in widths:
-            for beta in betas:
+    for alpha in opts["alphas"]:
+        for width in opts["widths"]:
+            for beta in opts["betas"]:
                 cell = dict(opts, alpha0=alpha, width=width, beta=beta,
                             alpha_min=min(opts["alpha_min"], alpha))
                 config = _trainer_config(cell, k)

@@ -54,10 +54,6 @@ class PolicyParams:
                 "fc1_w": self.fc1_w, "fc1_b": self.fc1_b,
                 "fc2_w": self.fc2_w, "fc2_b": self.fc2_b}
 
-    def copy(self):
-        return PolicyParams(self.n, self.width,
-                            *(t.copy() for t in self.tensors().values()))
-
     def add_scaled(self, grads, scale):
         """New params = self + scale * grads (ascent step)."""
         g = grads.tensors()

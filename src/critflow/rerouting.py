@@ -41,14 +41,16 @@ leaves the stack once no path prices below zero. The first round starts
 from a crash basis (Bixby 1992): every flow on its seed path, U at the
 seed routing's max utilization, basic in that link's capacity row, and
 the slacks of the other capacity rows, whose B^-1 has a closed form.
-Each later round inserts its new path columns into the stack's column
-store after their flows' pools, in the order build_path_lp gives them,
-and starts from the previous round's optimal basis, renumbered around
-them, and its B^-1: the new paths enter nonbasic at 0, so the basis
-stays primal feasible and B stays the same matrix. Every round thus
-starts from a feasible basis, the only start solve_lp takes, and none
-inverts B. An LP narrower than the stack is padded after its own
-columns with zero columns of zero cost, which price at exactly 0 and
+Each later round appends its new path columns after each LP's last
+column, in flow order, as column generation's restricted master takes
+them, and starts from the previous round's optimal basis and its B^-1,
+the slacks, numbered after the stack's columns, shifted by the change in
+its width: the new paths enter nonbasic at 0, so the basis stays primal
+feasible and B stays the same matrix. Every round thus starts from a
+feasible basis, the only start solve_lp takes, and none inverts B. The
+solution records its last LP's columns in order, and build_path_lp over
+them rebuilds that LP. An LP narrower than the stack is padded after its
+own columns with zero columns of zero cost, which price at exactly 0 and
 never enter, and gets the bits it gets alone. Nothing is kept from one
 call to the next.
 
@@ -105,6 +107,8 @@ class ReroutingSolution:
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
     # (s, d) -> the final LP's share of each path in paths[(s, d)]
     shares: dict = field(default_factory=dict)
+    # the final LP's path columns in order, one ((s, d), path) each
+    columns: list = field(default_factory=list)
     # pivots of each column-generation round's LP
     round_pivots: list = field(default_factory=list)
     # path columns each round's LP added to the last one (round 0: the seeds)
@@ -142,31 +146,27 @@ def _path_columns(topo, demand, cols, epsilon):
     return rows, epsilon * hops
 
 
-def _path_lp(topo, flows, background_load, a_paths, c_paths, names=None):
-    """The path LP: U, then the given path columns."""
+def build_path_lp(topo, tm, background_load, columns, epsilon):
+    """Assemble the path LP over the given columns, one ((s, d), path)
+    each, a path being a tuple of link indices: variable 0 is U, then one
+    variable per column, in order. Rows: one capacity row per link, in
+    utilization units, then one convexity row per flow, flows in order of
+    first appearance."""
+    flows = list(dict.fromkeys(f for f, _ in columns))
+    position = {f: fi for fi, f in enumerate(flows)}
+    cols = [(position[f], p) for f, p in columns]
+    names = ["U"]
+    for (s, d), p in columns:
+        hops = "_".join(str(topo.links[e].src) for e in p)
+        names.append(f"x{s}_{d}__{hops}_{d}")
     m, k = topo.link_count, len(flows)
+    rows, costs = _path_columns(topo, np.array([tm.demand[f] for f in flows]), cols, epsilon)
     u_col = np.zeros((m + k, 1))
     u_col[:m] = -1.0
     b = np.concatenate([-np.asarray(background_load, dtype=float) / topo.capacity,
                         np.ones(k)])
-    return LpProblem(c=np.concatenate([[1.0], c_paths]), a=np.hstack([u_col, a_paths]),
+    return LpProblem(c=np.concatenate([[1.0], costs]), a=np.hstack([u_col, rows.T]),
                      rel=["<="] * m + ["="] * k, b=b, var_names=names)
-
-
-def build_path_lp(topo, tm, flows, background_load, paths, epsilon):
-    """Assemble the path LP over the given pools; variable 0 is U, then one
-    column per path in paths[f] (a tuple of link indices), flows in the
-    given order. Rows: one capacity row per link, in utilization units,
-    then one convexity row per flow."""
-    cols = [(fi, p) for fi, f in enumerate(flows) for p in paths[f]]
-    names = ["U"]
-    for fi, p in cols:
-        s, d = flows[fi]
-        hops = "_".join(str(topo.links[e].src) for e in p)
-        names.append(f"x{s}_{d}__{hops}_{d}")
-    demand = np.array([tm.demand[f] for f in flows])
-    rows, costs = _path_columns(topo, demand, cols, epsilon)
-    return _path_lp(topo, flows, background_load, rows.T, costs, names=names)
 
 
 def _check_flows(flows):
@@ -188,10 +188,11 @@ def solve_rerouting(topo, tm, critical, background, epsilon=None):
     background loads (from ECMP with those flows excluded).
 
     Column generation over simple paths (see the module docstring); the
-    returned `paths` hold each flow's final pool, so
-    build_path_lp(topo, tm, sorted(critical), background, paths, epsilon)
-    is the last LP solved. A flow listed twice, or from a node to itself,
-    raises ValueError. This is solve_rerouting_batch's batch of one.
+    returned `paths` hold each flow's final pool and `columns` the last
+    LP's columns in order, so
+    build_path_lp(topo, tm, background, columns, epsilon) is the last LP
+    solved. A flow listed twice, or from a node to itself, raises
+    ValueError. This is solve_rerouting_batch's batch of one.
     """
     return solve_rerouting_batch(topo, [tm], [critical], [background], epsilon)[0]
 
@@ -204,9 +205,10 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     Each round solves the LPs still pricing in one solve_lp call, each
     from its own basis and B^-1, and prices all their flows in one
     shortest_path_trees pass; an LP leaves the stack once no path prices
-    below zero. The new columns go into the stack's column store in
-    place, each after its flow's pool. Every solution has the bits it has
-    when solved alone. Returns one ReroutingSolution per triple.
+    below zero. Each LP's new columns are appended after its last one in
+    the stack's column store, so the structural part of its basis carries
+    over as it is. Every solution has the bits it has when solved alone.
+    Returns one ReroutingSolution per triple.
     """
     bgs = [_load_vector(bg) for bg in backgrounds]
     flows = [sorted(c) for c in criticals]
@@ -243,15 +245,15 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     rhs = np.concatenate([-bg / topo.capacity, np.ones((size, k))], axis=1)
     rel = ["<="] * m + ["="] * k
     width = np.full(size, 1 + k)
-    ends = np.tile(np.arange(2, k + 2), (size, 1))  # one past each flow's last column
     lp_of = np.arange(size)  # the batch position of each LP in the stack
     stack_demand = demand
     done = [None] * size
     round_pivots = [[] for _ in flows]
     round_columns = [[k] for _ in flows]
+    columns = [[(f, pool[0]) for f, pool in zip(fl, pl)] for fl, pl in zip(flows, pools)]
     n = 1 + k
     while True:
-        # views of the column store: the next round's insertions write to it
+        # views of the column store: the next round's columns write to it
         problem = LpProblem(c=cost[:, :n], a=store[:, :n].transpose(0, 2, 1), rel=rel,
                             b=rhs)
         sol = solve_lp(problem, basis=basis, binv=binv)
@@ -267,11 +269,13 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         for i, fi in zip(*np.nonzero(cheap < -REDUCED_COST_TOL)):
             g = i * k + fi
             path = tree_path(topo, tree[g], src[i, fi], dst[i, fi])
-            pool = pools[lp_of[i]][fi]
+            lp = lp_of[i]
+            pool = pools[lp][fi]
             # a path already in the pool prices >= -tol in the LP just
             # solved, whatever this sum rounds to: never add it twice
             if path not in pool:
                 pool.append(path)
+                columns[lp].append((flows[lp][fi], path))
                 new.append((g, path))
         owner, fis = np.divmod(np.array([g for g, _ in new], dtype=int), k)
         added = np.bincount(owner, minlength=lp_of.size)
@@ -282,9 +286,9 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         basis, binv = sol.basis, sol.binv
         if not added.all():  # the finished LPs leave the stack
             keep = np.flatnonzero(added)
-            (store, cost, rhs, stack_demand, src, dst, width, ends, lp_of, basis, binv,
+            (store, cost, rhs, stack_demand, src, dst, width, lp_of, basis, binv,
              added) = (v[keep] for v in (store, cost, rhs, stack_demand, src, dst, width,
-                                         ends, lp_of, basis, binv, added))
+                                         lp_of, basis, binv, added))
             owner = np.searchsorted(keep, owner)
         cols, costs = _path_columns(topo, stack_demand,
                                     list(zip((owner * k + fis).tolist(),
@@ -295,32 +299,18 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
             store, cost = (
                 np.concatenate([v, np.zeros((v.shape[0], extra, *v.shape[2:]))], axis=1)
                 for v in (store, cost))
-        # each new path goes after its flow's pool, as build_path_lp has it:
-        # inserted before column `at`, the q-th of an LP's new paths lands
-        # at at + q, and its column j at j + (its new paths with at <= j)
-        at = ends[owner, fis]
-        rank = np.arange(len(new)) - np.searchsorted(owner, owner)
-        shift = np.zeros((lp_of.size, n + 1), dtype=int)
-        np.add.at(shift, (owner, at), 1)
-        dest = np.arange(n) + np.cumsum(shift, axis=1)[:, :n]
-        moved, col = np.nonzero(np.arange(n) < width[:, None])
-        store[moved, dest[moved, col]] = store[moved, col]
-        cost[moved, dest[moved, col]] = cost[moved, col]
-        store[owner, at + rank], cost[owner, at + rank] = cols, costs
+        # each LP's new paths go after its last column, in flow order
+        at = width[owner] + np.arange(len(new)) - np.searchsorted(owner, owner)
+        store[owner, at], cost[owner, at] = cols, costs
         width = width + added
-        ends += np.cumsum(np.bincount(owner * k + fis, minlength=ends.size).reshape(ends.shape),
-                          axis=1)
         # the new columns enter nonbasic at 0: each optimal basis stays
         # feasible, and B, so B^-1, is unchanged; the slacks, numbered
         # after the stack's columns, shift with its width
-        structural = basis < n
-        basis = np.where(structural, dest[np.arange(lp_of.size)[:, None],
-                                          np.where(structural, basis, 0)],
-                         basis - n + n_next)
+        basis = np.where(basis < n, basis, basis - n + n_next)
         for lp, count in zip(lp_of.tolist(), added.tolist()):
             round_columns[lp].append(count)
         n = n_next
-    return [_solution(topo, flows[lp], pools[lp], demand[lp], bgs[lp], *done[lp],
+    return [_solution(topo, flows[lp], pools[lp], columns[lp], demand[lp], bgs[lp], *done[lp],
                       round_pivots[lp], round_columns[lp]) for lp in range(size)]
 
 
@@ -330,21 +320,27 @@ def _background_only(topo, bg):
                              objective=loads.max_utilization, link_loads=loads)
 
 
-def _solution(topo, flows, pools, demand, bg, x, objective, round_pivots, round_columns):
-    """One LP's ReroutingSolution from its final shares x (U first)."""
+def _solution(topo, flows, pools, columns, demand, bg, x, objective, round_pivots,
+              round_columns):
+    """One LP's ReroutingSolution from its final shares x (U first, then
+    one per column)."""
     k, m = len(flows), topo.link_count
+    position = {f: fi for fi, f in enumerate(flows)}
     # each flow's ratios: the sum of its paths' shares, in pool order
-    fis, hops, links = _flat_paths([(fi, p) for fi, pool in enumerate(pools) for p in pool])
+    fis, hops, links = _flat_paths([(position[f], p) for f, p in columns])
     ratios = np.zeros((k, m))
     np.add.at(ratios, (np.repeat(fis, hops), links), np.repeat(x[1:], hops))
     load = bg + demand @ ratios
-    bounds = np.cumsum([1] + [len(pool) for pool in pools]).tolist()
-    shares = [x[a:b] for a, b in zip(bounds, bounds[1:])]
+    # a flow's columns, in column order, are its pool
+    by_flow = x[1:][np.argsort(fis, kind="stable")]
+    bounds = np.cumsum([0] + [len(pool) for pool in pools]).tolist()
+    shares = [by_flow[a:b] for a, b in zip(bounds, bounds[1:])]
     loads = LinkLoads.from_load(load, topo.capacity)
     return ReroutingSolution(sigma=dict(zip(flows, ratios)), u=loads.max_utilization,
                              objective=objective, link_loads=loads,
                              paths=dict(zip(flows, pools)), shares=dict(zip(flows, shares)),
-                             round_pivots=round_pivots, round_columns=round_columns)
+                             columns=columns, round_pivots=round_pivots,
+                             round_columns=round_columns)
 
 
 def _crash_start(topo, demand, seeds, bg, seed_rows):
@@ -425,12 +421,14 @@ def evaluate_delay(topo, loads):
 
 # conjugate-gradient iterations per projected Newton step
 _CG_ITERS = 6
+# the delay optimum stops once its Frank-Wolfe duality gap is within this
+# share of the delay
+DELAY_GAP_TOL = 1e-5
 
 
 @dataclass
 class _DelayRun:
-    """What _delay_optimum did. It unpacks as (omega, loads, steps, gap,
-    pool), the certificate's five."""
+    """What _delay_optimum did."""
     omega: float
     loads: LinkLoads
     steps: int       # projected Newton steps
@@ -438,9 +436,6 @@ class _DelayRun:
     pool: int        # paths in the pools at the end
     cg_iters: int    # conjugate-gradient iterations, all steps together
     backtracks: int  # halvings of t along the steps' arcs, all together
-
-    def __iter__(self):
-        return iter((self.omega, self.loads, self.steps, self.gap, self.pool))
 
 
 def _path_loads(links, hops, flow, m):
@@ -507,7 +502,7 @@ def _newton_step(links, hops, owner, x, lengths, h):
     return ref, step, iters
 
 
-def _delay_optimum(topo, tm, start, max_iters, tol):
+def _delay_optimum(topo, tm, start, max_iters):
     """solve_delay_optimal's work, as a _DelayRun.
 
     The pools are sparse and pair after pair: links holds every path's
@@ -543,7 +538,7 @@ def _delay_optimum(topo, tm, start, max_iters, tol):
         dists, pred = shortest_path_trees(topo, sources, np.broadcast_to(w, (sources.size, m)))
         dist = dists[tree, dst]
         gap = float(w @ load - demand @ dist)  # Omega - Omega* <= gap
-        if gap <= tol * omega:
+        if gap <= DELAY_GAP_TOL * omega:
             return _DelayRun(omega, LinkLoads.from_load(load, cap), steps, gap / omega,
                              len(x), cg_iters, backtracks)
         if steps == max_iters:
@@ -591,10 +586,10 @@ def _delay_optimum(topo, tm, start, max_iters, tol):
             backtracks += 1
         x, load, omega = trial, trial_load, trial_omega
     raise RuntimeError(f"delay optimum not certified after max_iters={max_iters} "
-                       f"steps: relative duality gap {gap / omega:.3g} > tol={tol}")
+                       f"steps: relative duality gap {gap / omega:.3g} > {DELAY_GAP_TOL}")
 
 
-def solve_delay_optimal(topo, tm, start=None, max_iters=5000, tol=1e-5):
+def solve_delay_optimal(topo, tm, start=None, max_iters=5000):
     """Minimize the delay proxy over all feasible routings by projected
     Newton steps over path flows.
 
@@ -603,8 +598,9 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=5000, tol=1e-5):
     must lie strictly under 1, else the instance is overloaded. Each step
     moves flow in every pair at once (see the module docstring). The loop
     stops only when the Frank-Wolfe duality gap w.l - sum r dist is within
-    relative `tol` of the delay, which then lies within `tol` of the
-    minimum (and, as the delay of a feasible routing, never below it).
+    relative DELAY_GAP_TOL = 1e-5 of the delay, which then lies within
+    that share of the minimum (and, as the delay of a feasible routing,
+    never below it).
     After `max_iters` steps without that certificate it raises
     RuntimeError; on 48 matrices of an 8-node, 28-link net at ECMP
     utilization 0.9 it took at most 22 steps, and on three of a 49-node,
@@ -612,5 +608,5 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=5000, tol=1e-5):
 
     Returns (omega, LinkLoads).
     """
-    omega, loads, *_ = _delay_optimum(topo, tm, start, max_iters, tol)
-    return omega, loads
+    run = _delay_optimum(topo, tm, start, max_iters)
+    return run.omega, run.loads

@@ -22,7 +22,7 @@ from .rerouting import solve_rerouting_batch
 from .topology import flow_index, flow_of_index
 
 TRAVERSAL_EPS = 1e-12
-DEFAULT_COMBINATION_CAP = 10_000
+COMBINATION_CAP = 10_000
 BRUTE_FORCE_CHUNK = 64  # subsets whose rerouting LPs brute_force_best stacks
 
 
@@ -101,8 +101,7 @@ def random_k(n_flows, k, seed, n):
     return SelectionResult(flows=flows, method="random")
 
 
-def brute_force_best(topo, tm, k, fractions=None,
-                     combination_cap=DEFAULT_COMBINATION_CAP):
+def brute_force_best(topo, tm, k, fractions=None):
     """Exhaustively best k-subset by rerouting-LP utilization.
 
     The subsets go through solve_rerouting_batch in chunks of
@@ -116,9 +115,9 @@ def brute_force_best(topo, tm, k, fractions=None,
     if k > n_flows:
         raise SelectionError(f"k={k} exceeds flow count {n_flows}")
     total = comb(n_flows, k)
-    if total > combination_cap:
+    if total > COMBINATION_CAP:
         raise SelectionError(
-            f"C({n_flows},{k}) = {total} exceeds cap {combination_cap}")
+            f"C({n_flows},{k}) = {total} exceeds cap {COMBINATION_CAP}")
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
     best_u, best_sel = np.inf, None

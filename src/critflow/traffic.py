@@ -39,9 +39,8 @@ class TrafficMatrix:
     def total_demand(self):
         return float(self.demand.sum())
 
-    def scaled(self, factor, id=None):
-        return TrafficMatrix(self.n, self.demand * factor,
-                             id=self.id if id is None else id)
+    def scaled(self, factor):
+        return TrafficMatrix(self.n, self.demand * factor, id=self.id)
 
 
 @dataclass
@@ -151,10 +150,3 @@ def save_tms(matrices, path):
             flat = " ".join(repr(float(v)) for v in tm.demand.ravel())
             prefix = f"id:{tm.id} " if tm.id and " " not in tm.id else ""
             fh.write(prefix + flat + "\n")
-
-
-def scale_tm_for_delay(tm, u_ecmp):
-    """Rescale demands by 0.9 / u_ecmp so ECMP max utilization becomes 0.9."""
-    if u_ecmp <= 0:
-        raise ValueError("u_ecmp must be positive")
-    return tm.scaled(0.9 / u_ecmp, id=f"{tm.id}+delay" if tm.id else "")

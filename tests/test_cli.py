@@ -174,6 +174,34 @@ def test_sweep_k_rejects_bad_fraction(tmp_path, ring5_file):
               "--tm-count", "3", "--fractions", "0,1.5",
               "--out", str(tmp_path / "x")])
     assert rc == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("sweep-k", ["--fractions", "0,abc"], "bad item 'abc' in '0,abc'"),
+    ("sweep-hyper", ["--widths", "8,x"], "bad item 'x' in '8,x'"),
+    ("sweep-hyper", ["--betas", "0.1,1e"], "bad item '1e' in '0.1,1e'"),
+    ("eval", ["--methods", ","], "empty list ','"),
+])
+def test_bad_list_flag_is_usage_error(tmp_path, ring5_file, capsys, command, flags,
+                                      message):
+    out = tmp_path / "o"
+    assert run([command, "--topology", ring5_file, "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_flags_echo_as_a_config_file(tmp_path, ring5_file):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(["eval", "--topology", ring5_file, "--tm-count", "4", "--k", "2",
+                "--methods", "ecmp, top_k,", "--skip-delay", "--out", str(first)]) == 0
+    echoed = (first / "config.txt").read_text()
+    assert "methods=ecmp,top_k\n" in echoed
+    assert "fractions=0.0,0.05,0.1,0.15,0.2\n" in echoed and "widths=64,128,256\n" in echoed
+    assert run(["eval", "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+    assert (second / "config.txt").read_text() == echoed.replace(f"out={first}",
+                                                                 f"out={second}")
+    assert (second / "results.csv").read_text() == (first / "results.csv").read_text()
 
 
 def test_sweep_hyper_single_cell(tmp_path, ring5_file):
@@ -211,6 +239,11 @@ def test_config_file_twin_and_cli_override(tmp_path, ring5_file, capsys):
     ("selector=bogus", "bad value 'bogus' for 'selector'"),
     ("skip_delay=maybe", "bad value 'maybe' for 'skip_delay'"),
     ("methods=ecmp,bogus", "bad value 'ecmp,bogus' for 'methods'"),
+    ("methods=,", "bad value ',' for 'methods'"),
+    ("fractions=0,abc", "bad value '0,abc' for 'fractions'"),
+    ("fractions=0,1.5", "bad value '0,1.5' for 'fractions'"),
+    ("widths=8,x", "bad value '8,x' for 'widths'"),
+    ("alphas=0.1,x", "bad value '0.1,x' for 'alphas'"),
 ])
 def test_config_file_bad_line_is_usage_error(tmp_path, ring5_file, capsys,
                                              line, message):

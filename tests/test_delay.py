@@ -3,6 +3,7 @@ import pytest
 
 import critflow as cf
 import critflow.rerouting
+from critflow.rerouting import DELAY_GAP_TOL
 from conftest import tm_with
 from oracles import delay_lower_bound_kelley, frank_wolfe_oracle
 
@@ -95,7 +96,7 @@ def _assert_within_tol_of_the_minimum(topo, matrices):
         # bound and its stop rest on the cutting-plane LP alone
         lower = delay_lower_bound_kelley(
             topo, tm, tangents=[loads.load * s for s in (0.999, 1.0, 1.001)])
-        assert lower * (1 - 1e-9) <= omega <= lower * (1 + 1e-5), tm.id
+        assert lower * (1 - 1e-9) <= omega <= lower * (1 + DELAY_GAP_TOL), tm.id
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -127,20 +128,19 @@ def test_delay_optimum_no_worse_than_frank_wolfe():
         _, start = cf.solve_optimal_all_flows(EVAL_MID, tm)
         omega, _ = cf.solve_delay_optimal(EVAL_MID, tm, start=start)
         want, _, _ = frank_wolfe_oracle(EVAL_MID, tm, start.link_loads)
-        assert omega <= want * (1 + 1e-5), tm.id
+        assert omega <= want * (1 + DELAY_GAP_TOL), tm.id
 
 
 def test_running_out_of_max_iters_raises():
     tm = cf.generate_tms(EVAL_MID, "exponential", 1, 0.9, seed=3)[0]
     _, start = cf.solve_optimal_all_flows(EVAL_MID, tm)
-    omega, loads, steps, gap, pool = critflow.rerouting._delay_optimum(
-        EVAL_MID, tm, start, 5000, 1e-5)
-    assert steps > 1 and 0 <= gap <= 1e-5
-    assert pool >= sum(map(len, start.paths.values()))
-    last = cf.solve_delay_optimal(EVAL_MID, tm, start=start, max_iters=steps)
-    assert last[0] == omega and np.array_equal(last[1].load, loads.load)
+    run = critflow.rerouting._delay_optimum(EVAL_MID, tm, start, 5000)
+    assert run.steps > 1 and 0 <= run.gap <= DELAY_GAP_TOL
+    assert run.pool >= sum(map(len, start.paths.values()))
+    last = cf.solve_delay_optimal(EVAL_MID, tm, start=start, max_iters=run.steps)
+    assert last[0] == run.omega and np.array_equal(last[1].load, run.loads.load)
     with pytest.raises(RuntimeError, match="max_iters"):
-        cf.solve_delay_optimal(EVAL_MID, tm, start=start, max_iters=steps - 1)
+        cf.solve_delay_optimal(EVAL_MID, tm, start=start, max_iters=run.steps - 1)
 
 
 def test_projected_newton_certifies_eval_mids_matrices_in_few_steps():
@@ -149,9 +149,9 @@ def test_projected_newton_certifies_eval_mids_matrices_in_few_steps():
     steps = {}
     for seed in (1001, 1002, 1003):
         for i, tm in enumerate(cf.generate_tms(EVAL_MID, "exponential", 16, 0.9, seed=seed)):
-            _, _, steps[seed, i], gap, _ = critflow.rerouting._delay_optimum(
-                EVAL_MID, tm, None, 5000, 1e-5)
-            assert 0 <= gap <= 1e-5
+            run = critflow.rerouting._delay_optimum(EVAL_MID, tm, None, 5000)
+            steps[seed, i] = run.steps
+            assert 0 <= run.gap <= DELAY_GAP_TOL
     assert steps[1003, 5] <= 30
     assert max(steps.values()) <= 60
 
@@ -161,8 +161,8 @@ def test_delay_optimum_certifies_where_a_shared_step_stalled():
     # this matrix at a relative gap of 0.016 after 5000 steps
     topo = cf.diamond4()
     tm = cf.generate_tms(topo, "uniform", 4, 0.9, seed=7)[3]
-    _, _, steps, gap, _ = critflow.rerouting._delay_optimum(topo, tm, None, 5000, 1e-5)
-    assert gap <= 1e-5 and steps <= 60
+    run = critflow.rerouting._delay_optimum(topo, tm, None, 5000)
+    assert run.gap <= DELAY_GAP_TOL and run.steps <= 60
 
 
 def test_delay_optimum_reports_its_newton_work(monkeypatch):
@@ -176,8 +176,7 @@ def test_delay_optimum_reports_its_newton_work(monkeypatch):
         return trees(*args)
 
     monkeypatch.setattr(critflow.rerouting, "shortest_path_trees", counted)
-    run = critflow.rerouting._delay_optimum(EVAL_MID, tm, start, 5000, 1e-5)
+    run = critflow.rerouting._delay_optimum(EVAL_MID, tm, start, 5000)
     assert run.steps > 0 and run.cg_iters > 0 and run.backtracks >= 0
     # one tree pass per step, and one more for the certificate
     assert len(passes) == run.steps + 1
-    assert tuple(run) == (run.omega, run.loads, run.steps, run.gap, run.pool)

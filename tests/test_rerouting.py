@@ -176,14 +176,16 @@ def test_path_lp_shapes(triangle):
     tm = tm_with(3, {(0, 2): 0.9, (1, 0): 0.2})
     flows = [(0, 2), (1, 0)]
     link = triangle.link_index
-    paths = {(0, 2): [(link[(0, 2)],), (link[(0, 1)], link[(1, 2)])],
-             (1, 0): [(link[(1, 0)],)]}
-    problem = build_path_lp(triangle, tm, flows, np.zeros(6), paths, 1e-5)
-    # 1 U + 3 paths; 6 capacity rows + 2 convexity rows
+    columns = [(flows[0], (link[(0, 2)],)), (flows[1], (link[(1, 0)],)),
+               (flows[0], (link[(0, 1)], link[(1, 2)]))]
+    problem = build_path_lp(triangle, tm, np.zeros(6), columns, 1e-5)
+    # 1 U + 3 paths, in the given order; 6 capacity rows + 2 convexity
+    # rows, flows in order of first appearance
     assert (problem.n_rows, problem.n_vars) == (8, 4)
-    assert problem.var_names == ["U", "x0_2__0_2", "x0_2__0_1_2", "x1_0__1_0"]
-    assert problem.c == pytest.approx([1.0, 1e-5, 2e-5, 1e-5])
-    assert problem.a[link[(0, 1)], 2] == 0.9 and problem.a[link[(0, 1)], 1] == 0.0
+    assert problem.var_names == ["U", "x0_2__0_2", "x1_0__1_0", "x0_2__0_1_2"]
+    assert problem.c == pytest.approx([1.0, 1e-5, 1e-5, 2e-5])
+    assert problem.a[link[(0, 1)], 3] == 0.9 and problem.a[link[(0, 1)], 1] == 0.0
+    assert problem.a[6:, 1:].tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
     assert problem.rel == ["<="] * 6 + ["="] * 2
 
 
@@ -195,7 +197,9 @@ def test_solution_pools_rebuild_the_last_lp(ring5, monkeypatch):
     (_, _, problem, final), = _final_rounds(solved, ring5, [(tm, flows)], [sol])
     assert sorted(sol.paths) == sorted(flows)
     assert problem.n_rows == ring5.link_count + len(flows)
-    # the LP built from the pools is optimal at the last round's basis
+    # each flow's columns, in order, are its pool
+    assert {f: [p for g, p in sol.columns if g == f] for f in flows} == sol.paths
+    # the LP built from the columns is optimal at the last round's basis
     again = cf.solve_lp(problem, basis=final.basis, binv=final.binv)
     assert again.iterations == 0 and not again.inverted
     assert again.objective == pytest.approx(sol.objective, rel=1e-12)
@@ -332,7 +336,7 @@ def _optimum_instances():
 
 
 def _optimum_final_round(solved, topo, tm):
-    """(the optimum's path LP over its final pools, the LpSolution of its
+    """(the optimum's path LP over its final columns, the LpSolution of its
     last round): every flow with demand over zero background."""
     solved.clear()
     case = (tm, [f for f in topo.flows() if tm.demand[f] > 0])
@@ -428,12 +432,11 @@ def test_crash_basis_starts_the_seed_path_lp():
     flows = sorted(flows)
     n, m = topo.node_count, topo.link_count
     _, pred = shortest_path_trees(topo, np.arange(n), np.broadcast_to(topo.cost, (n, m)))
-    paths = {f: [tree_path(topo, pred[f[0]], *f)] for f in flows}
-    problem = build_path_lp(topo, tm, flows, bg.load, paths,
-                            cf.default_epsilon(topo, len(flows)))
+    columns = [(f, tree_path(topo, pred[f[0]], *f)) for f in flows]
+    problem = build_path_lp(topo, tm, bg.load, columns, cf.default_epsilon(topo, len(flows)))
     demand = np.array([tm.demand[f] for f in flows])
     basis, binv = rerouting._crash_start(topo, demand[None],
-                                         [(fi, paths[f][0]) for fi, f in enumerate(flows)],
+                                         [(fi, p) for fi, (_, p) in enumerate(columns)],
                                          bg.load[None], problem.a[None, :m, 1:].transpose(0, 2, 1))
     warm = solve_lp(problem, basis=basis[0])
     handed = solve_lp(problem, basis=basis[0], binv=binv[0])  # the closed-form B^-1
@@ -557,8 +560,44 @@ def test_b_never_inverted(monkeypatch):
     assert handed_over > lps  # more later rounds than LPs
 
 
+def test_later_rounds_start_from_the_last_basis_with_slacks_shifted(monkeypatch):
+    """Each round appends its new columns after each LP's last one, so the
+    next round starts from the last round's final basis with every
+    structural index kept and every slack index moved by exactly the
+    change in stack width."""
+    # (stack width, start basis, final basis) of each solve_lp call; the
+    # stack narrows when its widest LP leaves it
+    rounds = []
+
+    def record(problem, **kwargs):
+        got = solve_lp(problem, **kwargs)
+        rounds.append((problem.n_vars, kwargs["basis"].copy(), got.basis.copy()))
+        return got
+    monkeypatch.setattr(rerouting, "solve_lp", record)
+    topo = _ebone_sized()
+    tm = cf.generate_tms(topo, "exponential", 1, 0.9, seed=3)[0]
+    groups = _reward_groups() + [(topo, [(tm, [f for f in topo.flows() if tm.demand[f] > 0])])]
+    kept = shifted = 0
+    for topo, cases in groups:
+        rounds.clear()
+        sols = _solve_batch(topo, cases)
+        for r in range(1, len(rounds)):
+            (width, _, final), (next_width, start, _) = rounds[r - 1], rounds[r]
+            # the LPs still pricing keep their batch order
+            stay = [_stack_position(sols, i, r - 1) for i, sol in enumerate(sols)
+                    if len(sol.round_pivots) > r]
+            assert start.shape == (len(stay), final.shape[1])
+            last = final[stay]
+            structural = last < width
+            assert np.array_equal(start[structural], last[structural])
+            assert np.array_equal(start[~structural], last[~structural] + next_width - width)
+            kept += structural.sum()
+            shifted += (~structural).sum()
+    assert kept > 0 and shifted > 0
+
+
 def _final_rounds(solved, topo, cases, sols):
-    """(stack, position in it, build_path_lp over the final pools, the
+    """(stack, position in it, build_path_lp over the final columns, the
     LpSolution the stack's solve gave the LP) of each case's last round,
     recorded in `solved` as by _record_solves. The LpSolution is cut to
     the built LP's columns and numbered as it (a stack's slacks follow
@@ -567,8 +606,8 @@ def _final_rounds(solved, topo, cases, sols):
     for i, ((tm, flows), sol) in enumerate(zip(cases, sols)):
         last = len(sol.round_pivots) - 1
         (stack, got), at = solved[last], _stack_position(sols, i, last)
-        built = build_path_lp(topo, tm, sorted(flows), background_for(topo, tm, flows).load,
-                              sol.paths, cf.default_epsilon(topo, len(flows)))
+        built = build_path_lp(topo, tm, background_for(topo, tm, flows).load, sol.columns,
+                              cf.default_epsilon(topo, len(flows)))
         n, width = built.n_vars, stack.n_vars
         basis = got.basis[at]
         final = cf.LpSolution(x=got.x[at, :n], objective=float(got.objective[at]),
@@ -581,7 +620,7 @@ def _final_rounds(solved, topo, cases, sols):
 
 def test_appended_lp_equals_built_lp(monkeypatch):
     """Each LP's last round, in its place in the stack, is build_path_lp
-    over its final pools, padded with zero columns of zero cost."""
+    over its final columns, padded with zero columns of zero cost."""
     solved = _record_solves(monkeypatch)
     for topo, cases in _reward_groups():
         solved.clear()

@@ -149,10 +149,10 @@ def test_brute_force_non_increasing_in_k(diamond):
         prev = u
 
 
-def test_brute_force_cap(diamond):
-    tm = tm_with(4, {(0, 3): 1.0})
-    with pytest.raises(cf.SelectionError, match="cap"):
-        cf.brute_force_best(diamond, tm, 6, combination_cap=100)
+def test_brute_force_cap(ring5):
+    tm = cf.generate_tms(ring5, "uniform", 1, 0.9, seed=1)[0]
+    with pytest.raises(cf.SelectionError, match="C\\(20,5\\) = 15504 exceeds cap 10000"):
+        cf.brute_force_best(ring5, tm, 5)
 
 
 def test_selectors_dominance(ring5):

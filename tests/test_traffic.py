@@ -128,25 +128,6 @@ def test_save_load_round_trip(tmp_path, ring5):
         assert a.id == b.id
 
 
-def test_scale_for_delay():
-    d = np.zeros((3, 3))
-    d[0, 2] = 1.0
-    tm = cf.TrafficMatrix(3, d)
-    doubled = cf.scale_tm_for_delay(tm, 0.45)
-    assert np.allclose(doubled.demand, 2 * tm.demand)
-    same = cf.scale_tm_for_delay(tm, 0.9)
-    assert np.allclose(same.demand, tm.demand)
-    with pytest.raises(ValueError):
-        cf.scale_tm_for_delay(tm, 0.0)
-
-
-def test_scale_for_delay_hits_090(ring5):
-    tm = cf.generate_tms(ring5, "exponential", 1, 0.4, seed=8)[0]
-    u = cf.ecmp_max_utilization(ring5, tm)
-    scaled = cf.scale_tm_for_delay(tm, u)
-    assert abs(cf.ecmp_max_utilization(ring5, scaled) - 0.9) <= 1e-9
-
-
 def test_load_linearity_against_ecmp(ring5):
     tm = cf.generate_tms(ring5, "uniform", 1, 0.5, seed=5)[0]
     fr = cf.compute_ecmp_fractions(ring5)
