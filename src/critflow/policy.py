@@ -12,8 +12,16 @@ The math runs on a stack of B matrices at once (`_forward_batch`,
 dense layer are one matmul, and a backward pass whose dlogits rows carry
 each sample's advantage and the step size, so that its matmuls also sum
 the gradient over the batch. Training samples from one forward cache
-and hands the same cache to the backward pass. `forward`, `gradients`
-and `selection_objective` are batches of one.
+and hands the same cache to `_step_in_place`, which adds the step into
+the parameters' own arrays. fc1_w (N^2 * width x width) holds nearly all
+the weights, and its gradient is the outer product flat.T @ dz2 of two
+thin factors that the backward pass holds, so the step never stores it:
+it makes it one block of FC1_BLOCK_ROWS rows at a time, once to check
+that the stepped block is finite and once to add it, and writes nothing
+unless every check passes. Training thus holds one copy of the policy.
+`_backward_batch` builds the whole gradient from the same blocks, so a
+step replayed from it has the same bits. `forward`, `gradients` and
+`selection_objective` are batches of one.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ import numpy as np
 KERNEL = 3
 LEAKY_SLOPE = 0.01
 CHECKPOINT_VERSION = 1
+# Rows of fc1_w per block of its gradient when a step makes it a block at
+# a time: 1 MB at width 128, so a block stays in L2 cache from its GEMM
+# through its checks to its add.
+FC1_BLOCK_ROWS = 1024
 
 
 class PolicyError(Exception):
@@ -85,6 +97,9 @@ def _mapped_empty(shape):
     is kept, one per size, for the next array of that size: the peak is
     the copies alive at once plus at most one spare, and a new policy
     reuses pages that are already faulted in, as it did from the heap.
+    Training steps its parameters in place and frees no copy per step;
+    the spare serves callers that build a new policy while the old one is
+    alive, and runs that train one policy after another.
     """
     count = int(np.prod(shape))
     nbytes = max(count, 1) * np.dtype(np.float64).itemsize
@@ -175,11 +190,13 @@ def _im2col(x):
 
 
 def _leaky(z):
-    return np.maximum(z, LEAKY_SLOPE * z)  # as LEAKY_SLOPE < 1
+    a = z * LEAKY_SLOPE
+    return np.maximum(z, a, out=a)  # as LEAKY_SLOPE < 1
 
 
-def _leaky_grad(z):
-    return np.where(z >= 0, 1.0, LEAKY_SLOPE)
+def _leaky_backward(dz, z):
+    """dz times the Leaky ReLU's slope at z, in dz's own array."""
+    return np.multiply(dz, LEAKY_SLOPE, out=dz, where=z < 0)
 
 
 def _log_probs(probs):
@@ -196,12 +213,15 @@ def _forward_batch(params, tms):
     x = _stack_inputs(params, tms)
     b = x.shape[0]
     patches = _im2col(x)                                   # (B*N^2, 9)
-    z1 = patches @ params.conv_w.reshape(KERNEL * KERNEL, params.width) + params.conv_b
+    z1 = patches @ params.conv_w.reshape(KERNEL * KERNEL, params.width)
+    z1 += params.conv_b
     a1 = _leaky(z1)                                        # (B*N^2, width)
     flat = a1.reshape(b, -1)                               # (B, N^2 * width)
-    z2 = flat @ params.fc1_w + params.fc1_b                # (B, width)
+    z2 = flat @ params.fc1_w                               # (B, width)
+    z2 += params.fc1_b
     a2 = _leaky(z2)
-    logits = a2 @ params.fc2_w + params.fc2_b              # (B, n_actions)
+    logits = a2 @ params.fc2_w                             # (B, n_actions)
+    logits += params.fc2_b
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     return {"patches": patches, "z1": z1, "flat": flat,
@@ -272,13 +292,15 @@ def entropy(dist):
     return float(-np.sum(p * _log_probs(p)))
 
 
-def _backward_batch(params, cache, solutions, advantages, beta, scale=1.0):
-    """scale * sum over the batch of the ascent gradient of
-    advantage * log pi(sol) + beta * H(pi), for the b-th matrix of the
-    stack that `cache` holds and the b-th solution and advantage. The
-    dlogits rows carry each sample's advantage and `scale`, so each GEMM
-    also sums over the batch. Raises on non-finite values, naming the
-    layer."""
+def _backward_pass(params, cache, solutions, advantages, beta, scale):
+    """The backward pass for scale * sum over the batch of the ascent
+    gradient of advantage * log pi(sol) + beta * H(pi), for the b-th
+    matrix of the stack that `cache` holds and the b-th solution and
+    advantage, up to fc1_w's gradient: returns dz2, from which
+    _fc1_grad_block makes that one, and the gradients of the five other
+    tensors. The dlogits rows carry each sample's advantage and `scale`,
+    so each GEMM also sums over the batch. Raises on non-finite values,
+    naming the layer."""
     probs = cache["probs"]
     counts = np.zeros_like(probs)
     k = np.empty((len(solutions), 1))
@@ -292,18 +314,79 @@ def _backward_batch(params, cache, solutions, advantages, beta, scale=1.0):
     dlogits = scale * (adv * (counts - k * probs) + beta * (-probs * (logp + h)))
 
     grads = {"fc2_w": cache["a2"].T @ dlogits, "fc2_b": dlogits.sum(axis=0)}
-    dz2 = (dlogits @ params.fc2_w.T) * _leaky_grad(cache["z2"])
-    grads["fc1_w"] = cache["flat"].T @ dz2
+    dz2 = _leaky_backward(dlogits @ params.fc2_w.T, cache["z2"])
     grads["fc1_b"] = dz2.sum(axis=0)
-    dflat = dz2 @ params.fc1_w.T
-    dz1 = dflat.reshape(cache["z1"].shape) * _leaky_grad(cache["z1"])
+    dz1 = _leaky_backward((dz2 @ params.fc1_w.T).reshape(cache["z1"].shape),
+                          cache["z1"])
     grads["conv_w"] = (cache["patches"].T @ dz1).reshape(KERNEL, KERNEL, params.width)
     grads["conv_b"] = dz1.sum(axis=0)
 
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise PolicyError(f"non-finite gradient in layer {name}")
+        _check_gradient(name, g)
+    return dz2, grads
+
+
+def _check_gradient(name, g):
+    if not np.all(np.isfinite(g)):
+        raise PolicyError(f"non-finite gradient in layer {name}")
+
+
+def _fc1_blocks(n_rows):
+    """fc1_w's rows in blocks of FC1_BLOCK_ROWS, as slices."""
+    return [slice(start, min(start + FC1_BLOCK_ROWS, n_rows))
+            for start in range(0, n_rows, FC1_BLOCK_ROWS)]
+
+
+def _fc1_grad_block(flat, dz2, rows, out):
+    """The rows `rows` of fc1_w's gradient flat.T @ dz2, written into
+    `out`. Training's step and _backward_batch both make the gradient by
+    these blocks, so a step rebuilt from the latter has the same bits."""
+    return np.matmul(flat[:, rows].T, dz2, out=out)
+
+
+def _backward_batch(params, cache, solutions, advantages, beta, scale=1.0):
+    """scale * sum over the batch of the ascent gradient of
+    advantage * log pi(sol) + beta * H(pi), as a PolicyParams (see
+    _backward_pass). Raises on non-finite values, naming the layer."""
+    dz2, grads = _backward_pass(params, cache, solutions, advantages, beta, scale)
+    grads["fc1_w"] = np.empty(params.fc1_w.shape)
+    for rows in _fc1_blocks(len(params.fc1_w)):
+        _fc1_grad_block(cache["flat"], dz2, rows, grads["fc1_w"][rows])
+    _check_gradient("fc1_w", grads["fc1_w"])
     return PolicyParams(params.n, params.width, **grads)
+
+
+def _step_in_place(params, cache, solutions, advantages, beta, scale):
+    """params + _backward_batch(params, cache, ...), with the same bits,
+    written into the parameters' own arrays, without ever holding fc1_w's
+    gradient whole. Pass 1 makes each block of its rows and checks the
+    stepped block in the block's buffer; pass 2 makes each block again and
+    adds it, but for the last, which pass 1 left stepped in the buffer.
+    Returns False, and writes nothing, if a stepped tensor would not be
+    finite; raises PolicyError, naming the layer, on a non-finite
+    gradient."""
+    dz2, grads = _backward_pass(params, cache, solutions, advantages, beta, scale)
+    tensors = params.tensors()
+    # each small gradient's array becomes its stepped tensor
+    finite = all(np.isfinite(np.add(tensors[name], g, out=g)).all()
+                 for name, g in grads.items())
+    flat, w = cache["flat"], params.fc1_w
+    blocks = _fc1_blocks(len(w))
+    block = np.empty((blocks[0].stop, params.width))
+    for rows in blocks:
+        g = _fc1_grad_block(flat, dz2, rows, block[:rows.stop - rows.start])
+        if not np.isfinite(np.add(w[rows], g, out=g)).all():
+            # a finite gradient whose step overflows, or a non-finite one
+            _check_gradient("fc1_w", _fc1_grad_block(flat, dz2, rows, g))
+            finite = False
+    if not finite:
+        return False
+    w[rows] = g  # the last block, which pass 1 left stepped in its buffer
+    for rows in blocks[:-1]:
+        w[rows] += _fc1_grad_block(flat, dz2, rows, block[:rows.stop - rows.start])
+    for name, stepped in grads.items():
+        tensors[name][...] = stepped
+    return True
 
 
 def batch_gradients(params, tms, solutions, advantages, beta, scale=1.0):

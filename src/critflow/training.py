@@ -5,19 +5,24 @@ once over the whole batch, draws one selection per state, scores each by
 1/U from the rerouting LP, subtracts the per-state average-reward
 baseline, and applies the entropy-regularized log-probability gradient,
 summed over the batch by one backward pass over the sampling forward's
-activations. The step is added into the gradient's own arrays. The
+activations. The step is added into the parameters' own arrays, and
+fc1_w's gradient, nearly all of the gradient, is never held whole: it is
+made one block of rows at a time, once to check that the step is finite
+and once to add it, so training holds one copy of the policy. The
 batch's rewards not yet cached, one per new (state, action set) key,
 are solved together: one compute_reward call per iteration, whose
 rerouting LPs go through one stack (rerouting.solve_rerouting_batch),
 and each reward has the bits it has alone. One serial learner does all
 of this, and is bit-deterministic given the seed. Each iteration logs
 the time of its phases (`update_ms` covers the backward pass and the
-step) and its reward-cache hits.
+step), its reward-cache hits and the process's peak RSS so far.
 """
 
 from __future__ import annotations
 
 import csv
+import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +31,8 @@ import numpy as np
 
 from . import ecmp, policy
 from .ecmp import compute_ecmp_fractions
-from .policy import entropy, init_params, sample_solution, save_checkpoint
+from .policy import (PolicyParams, entropy, init_params, sample_solution,
+                     save_checkpoint)
 # No longer called here, but kept as names of this module: the benchmark's
 # tracer (bench/tracing.py) wraps them here, and their spans now read 0;
 # tests/test_imports.py checks that every name it wraps resolves.
@@ -97,11 +103,20 @@ class IterationRecord:
     reward_ms: float = 0.0    # rewards, through the cache
     update_ms: float = 0.0    # the backward pass, and the step it takes
     cache_hits: int = 0       # samples whose reward was already cached
+    max_rss_mb: float = 0.0   # the process's peak RSS at the iteration's end
     batch: list = field(default_factory=list, repr=False)
 
 
 _CSV_COLUMNS = ("iteration", "mean_reward", "mean_entropy", "alpha", "wall_ms",
-                "forward_ms", "sample_ms", "reward_ms", "update_ms", "cache_hits")
+                "forward_ms", "sample_ms", "reward_ms", "update_ms", "cache_hits",
+                "max_rss_mb")
+
+
+def _max_rss_mb():
+    """The process's peak resident set size so far, in MiB; ru_maxrss is
+    in KiB on Linux and in bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 @dataclass
@@ -189,31 +204,23 @@ def _usable_train_ids(dataset):
     return ids
 
 
-def _update_from_cache(params, cache, experiences, alpha, beta):
+def _accumulate_update(params, matrices, experiences, alpha, beta):
     """alpha * sum over the batch of (grad log pi * advantage + beta grad H),
-    by one backward pass over the batch's forward cache."""
-    return policy._backward_batch(params, cache, [e.solution for e in experiences],
+    by one forward and one backward pass over the experiences' matrices."""
+    tms = [matrices[e.state_id] for e in experiences]
+    return policy._backward_batch(params, policy._forward_batch(params, tms),
+                                  [e.solution for e in experiences],
                                   [e.advantage for e in experiences], beta,
                                   scale=alpha)
-
-
-def _accumulate_update(params, matrices, experiences, alpha, beta):
-    """The same update, running the batch's forward pass again first."""
-    tms = [matrices[e.state_id] for e in experiences]
-    return _update_from_cache(params, policy._forward_batch(params, tms),
-                              experiences, alpha, beta)
-
-
-def _params_finite(params):
-    return all(np.all(np.isfinite(t)) for t in params.tensors().values())
 
 
 def replay_update(params, experiences, matrices, config, iteration):
     """Recompute one iteration's parameter delta from logged experiences.
 
     Runs the forward pass again over the experiences in their logged
-    order, then training's backward pass, so params + replay_update(...)
-    reproduces the next checkpoint bit for bit.
+    order, then the backward pass that training's step takes, so
+    params.add_scaled(replay_update(...), 1.0) reproduces the next
+    checkpoint bit for bit.
     """
     alpha = learning_rate(config, iteration)
     return _accumulate_update(params, matrices, experiences, alpha, config.beta)
@@ -224,8 +231,9 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
     """Serial training. Returns (params, TrainingLog).
 
     Bit-deterministic given config.seed. Aborts (with a checkpoint of the
-    last finite parameters, when a path is given) if an update produces
-    non-finite values. Never writes to `init`.
+    last finite parameters, when a path is given) if an update would
+    produce non-finite values. Steps a copy of `init`, when one is given,
+    and never writes to `init`.
     """
     matrices = dataset.matrices
     train_ids = _usable_train_ids(dataset)
@@ -233,8 +241,11 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
     cache = _RewardCache(topo, matrices, fractions)
     ss = np.random.SeedSequence(config.seed)
     init_seed, sample_seed = ss.spawn(2)
-    params = init if init is not None else init_params(
-        topo.node_count, width=config.width, seed=init_seed)
+    if init is None:
+        params = init_params(topo.node_count, width=config.width, seed=init_seed)
+    else:
+        params = PolicyParams(init.n, init.width,
+                              *(t.copy() for t in init.tensors().values()))
     rng = np.random.default_rng(sample_seed)
     v, visits = {}, {}
     # One Solution per distinct draw, shared by every experience that
@@ -266,23 +277,22 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
                 v.setdefault(sid, 0.0)
                 visits.setdefault(sid, 0)
             experiences.append(Experience(sid, sol, r - b, r))
-        stepped = _update_from_cache(params, activations, experiences, alpha,
-                                     config.beta)
+        # params + the update, in params' own arrays: the same bits as
+        # params.add_scaled(delta, 1.0), which rebuilds a step from a replay;
+        # nothing is written if a stepped parameter would not be finite
+        stepped = policy._step_in_place(params, activations, solutions,
+                                        [e.advantage for e in experiences],
+                                        config.beta, scale=alpha)
         del activations  # before the next iteration's forward pass makes more
-        # params + delta in the delta's own arrays: the same bits as
-        # params.add_scaled(delta, 1.0), which rebuilds a step from a replay
-        for d, t in zip(stepped.tensors().values(), params.tensors().values()):
-            d += t
         t_update = time.perf_counter()
         for exp in experiences:
             v[exp.state_id] += exp.reward
             visits[exp.state_id] += 1
-        if not _params_finite(stepped):
+        if not stepped:
             if checkpoint_path:
                 save_checkpoint(checkpoint_path, params, iteration=it,
                                 baseline_v=v, baseline_n=visits)
             raise TrainingError(f"non-finite parameters at iteration {it}")
-        params = stepped
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.records.append(IterationRecord(
             iteration=it,
@@ -294,6 +304,7 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
             reward_ms=(t_reward - t_sample) * 1e3,
             update_ms=(t_update - t_reward) * 1e3,
             cache_hits=len(solutions) - (len(cache) - cached),
+            max_rss_mb=_max_rss_mb(),
             batch=experiences))
         if checkpoint_path and (it + 1) % checkpoint_every == 0:
             save_checkpoint(checkpoint_path, params, iteration=it + 1,

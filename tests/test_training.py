@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,7 +125,7 @@ def test_replay_reproduces_update(tiny_instance):
                              config_full, iteration=9)
     rebuilt = p_stub.add_scaled(delta, 1.0)
     for a, b in zip(rebuilt.tensors().values(), p_full.tensors().values()):
-        assert np.max(np.abs(a - b)) <= 1e-9
+        assert a.tobytes() == b.tobytes()
 
 
 def test_update_matches_manual_accumulation(tiny_instance):
@@ -167,14 +171,14 @@ def test_zero_matrices_filtered_with_warning(ring5):
 def test_abort_on_nonfinite_params(tiny_instance, tmp_path, monkeypatch):
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=5, batch_size=2)
+    backward_pass = policy._backward_pass
 
-    def poisoned(params, cache, experiences, alpha, beta):
-        from critflow.policy import zeros_like_params
-        delta = zeros_like_params(params)
-        delta.conv_b[:] = np.nan
-        return delta
+    def poisoned(*args, **kwargs):  # past the backward pass's own check
+        dz2, grads = backward_pass(*args, **kwargs)
+        grads["conv_b"][:] = np.nan
+        return dz2, grads
 
-    monkeypatch.setattr("critflow.training._update_from_cache", poisoned)
+    monkeypatch.setattr(policy, "_backward_pass", poisoned)
     ckpt = tmp_path / "abort.npz"
     with pytest.raises(cf.TrainingError, match="non-finite"):
         cf.train(topo, dataset, config, checkpoint_path=ckpt)
@@ -199,8 +203,17 @@ def test_log_csv_format(tiny_instance, tmp_path):
     log.write_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("iteration,mean_reward,mean_entropy,alpha,wall_ms,"
-                        "forward_ms,sample_ms,reward_ms,update_ms,cache_hits")
+                        "forward_ms,sample_ms,reward_ms,update_ms,cache_hits,"
+                        "max_rss_mb")
     assert len(lines) == 4
+
+
+def test_max_rss_never_decreases(tiny_instance):
+    topo, dataset = tiny_instance
+    _, log = cf.train(topo, dataset, tiny_config(total_iterations=6, batch_size=3))
+    peaks = [rec.max_rss_mb for rec in log.records]
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)
 
 
 def test_phase_times_within_wall_and_cache_hits_count_new_entries(tiny_instance,
@@ -293,7 +306,7 @@ def test_batched_forward_equals_per_matrix_forward():
 def test_one_batched_pass_per_phase_per_iteration(tiny_instance, monkeypatch):
     topo, dataset = tiny_instance
     calls = []
-    forward_pass, backward_pass = policy._forward_batch, policy._backward_batch
+    forward_pass, backward_pass = policy._forward_batch, policy._backward_pass
 
     def counted_forward(params, tms):
         calls.append(("forward", len(tms)))
@@ -304,7 +317,7 @@ def test_one_batched_pass_per_phase_per_iteration(tiny_instance, monkeypatch):
         return backward_pass(params, cache, *args, **kwargs)
 
     monkeypatch.setattr(policy, "_forward_batch", counted_forward)
-    monkeypatch.setattr(policy, "_backward_batch", counted_backward)
+    monkeypatch.setattr(policy, "_backward_pass", counted_backward)
     cf.train(topo, dataset, tiny_config(total_iterations=2, batch_size=7))
     # per iteration: one forward for sampling, whose activations the update's
     # backward pass reuses
@@ -318,13 +331,15 @@ def test_overflowing_step_aborts_with_last_finite_params(tiny_instance, tmp_path
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=5, batch_size=2)
     big = np.finfo(float).max
+    backward_pass = policy._backward_pass
 
-    def overflowing(params, cache, experiences, alpha, beta):
-        delta = zeros_like_params(params)
-        delta.fc2_b[:] = big
-        return delta
+    def overflowing(*args, **kwargs):
+        dz2, grads = backward_pass(*args, **kwargs)
+        grads = {name: np.zeros_like(g) for name, g in grads.items()}
+        grads["fc2_b"][:] = big
+        return np.zeros_like(dz2), grads  # fc1_w's gradient is 0 too
 
-    monkeypatch.setattr("critflow.training._update_from_cache", overflowing)
+    monkeypatch.setattr(policy, "_backward_pass", overflowing)
     ckpt = tmp_path / "abort.npz"
     with pytest.raises(cf.TrainingError, match="non-finite"), np.errstate(over="ignore"):
         cf.train(topo, dataset, config, checkpoint_path=ckpt)
@@ -332,6 +347,75 @@ def test_overflowing_step_aborts_with_last_finite_params(tiny_instance, tmp_path
     assert iteration == 1
     assert all(np.all(np.isfinite(t)) for t in params.tensors().values())
     assert np.all(params.fc2_b == big)
+
+
+def test_overflow_in_the_last_fc1_block_writes_nothing(tiny_instance, tmp_path,
+                                                       monkeypatch):
+    """The second step would overflow in the last block of fc1_w alone: no
+    block before it and no other tensor is written, so the parameters and
+    the checkpoint keep the first step's bits."""
+    topo, dataset = tiny_instance
+    config = tiny_config(total_iterations=5, batch_size=2)
+    monkeypatch.setattr(policy, "FC1_BLOCK_ROWS", 64)  # 7 blocks of 400 rows
+    big = np.finfo(float).max
+    # One dead conv channel and one dead hidden unit, joined by fc1_w
+    # weights of `big`: the forward pass reads them as 0 * big, and every
+    # gradient through them is 0, so they stay `big` while the rest trains.
+    init = cf.init_params(topo.node_count, width=config.width, seed=3)
+    dead = config.width - 1
+    init.conv_w[..., dead] = 0.0
+    init.fc1_w[dead::config.width] = 0.0
+    init.fc1_w[:, dead] = 0.0
+    init.fc1_w[dead::config.width, dead] = big
+    init.fc2_w[dead] = 0.0
+    grad_block, step = policy._fc1_grad_block, policy._step_in_place
+    steps = []  # (params, their bits before the step, whether it was taken)
+
+    def last_block_overflows(flat, dz2, rows, out):  # from the second step on
+        grad_block(flat, dz2, rows, out)
+        if steps and rows.stop == flat.shape[1]:
+            out[-1, dead] = big
+        return out
+
+    def recorded(params, *args, **kwargs):
+        before = {name: t.tobytes() for name, t in params.tensors().items()}
+        taken = step(params, *args, **kwargs)
+        steps.append((params, before, taken))
+        return taken
+
+    monkeypatch.setattr(policy, "_fc1_grad_block", last_block_overflows)
+    monkeypatch.setattr(policy, "_step_in_place", recorded)
+    ckpt = tmp_path / "abort.npz"
+    with pytest.raises(cf.TrainingError, match="non-finite"), np.errstate(over="ignore"):
+        cf.train(topo, dataset, config, init=init, checkpoint_path=ckpt)
+    assert [taken for _, _, taken in steps] == [True, False]
+    params, before, _ = steps[-1]
+    assert len(policy._fc1_blocks(len(params.fc1_w))) == 7
+    assert params.fc1_w[-1, dead] == big
+    assert steps[0][1]["fc1_w"] != before["fc1_w"]  # the first step moved it
+    saved, iteration, _, _ = cf.load_checkpoint(ckpt)
+    assert iteration == 1
+    for name, t in params.tensors().items():
+        assert t.tobytes() == before[name], name
+        assert saved.tensors()[name].tobytes() == before[name], name
+
+
+def test_replay_rebuilds_a_step_of_many_fc1_blocks_bit_for_bit():
+    topo, matrices = _abilene_instance()
+    dataset = cf.Dataset(matrices=matrices, train_indices=list(range(len(matrices))),
+                         test_indices=[], seed=0)
+    config = cf.TrainerConfig(batch_size=8, k=13, total_iterations=3, width=128,
+                              seed=2)
+    stub_config = cf.TrainerConfig(batch_size=8, k=13, total_iterations=2,
+                                   width=128, seed=2)
+    p_full, log = cf.train(topo, dataset, config)
+    p_stub, _ = cf.train(topo, dataset, stub_config)
+    assert len(policy._fc1_blocks(len(p_stub.fc1_w))) > 1
+    delta = cf.replay_update(p_stub, log.records[2].batch, matrices, config,
+                             iteration=2)
+    rebuilt = p_stub.add_scaled(delta, 1.0)
+    for name, t in rebuilt.tensors().items():
+        assert t.tobytes() == p_full.tensors()[name].tobytes(), name
 
 
 def test_train_never_writes_to_init(tiny_instance):
@@ -344,10 +428,11 @@ def test_train_never_writes_to_init(tiny_instance):
     assert not np.array_equal(trained.fc2_w, init.fc2_w)
 
 
-def test_training_peak_allocation_near_two_policies():
-    """Three Abilene iterations allocate at most about the parameters and
-    one gradient at once, besides the activations: the step is taken in
-    the gradient's arrays, not in new ones."""
+def test_training_peak_allocation_near_one_policy():
+    """Three Abilene iterations allocate at most about one copy of the
+    parameters (the copy of `init` that training steps), besides the
+    activations: the step is taken in the parameters' own arrays, and
+    fc1_w's gradient is never held whole."""
     topo, matrices = _abilene_instance()
     dataset = cf.Dataset(matrices=matrices, train_indices=list(range(len(matrices))),
                          test_indices=[], seed=0)
@@ -361,4 +446,37 @@ def test_training_peak_allocation_near_two_policies():
     finally:
         tracemalloc.stop()
     peak_in_fc1_w = peak / init.fc1_w.nbytes
-    assert peak_in_fc1_w < 3.3
+    assert peak_in_fc1_w < 1.7
+
+
+# Training for 1 iteration, then for 4 from a fresh start. From the second
+# iteration on, a step that made a new copy of the parameters would hold a
+# third copy; VmHWM is read, as ru_maxrss would carry over the parent's
+# peak from the fork.
+_TRAINING_IN_STEADY_STATE = """
+import critflow as cf
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) * 1024 for l in fh if l.startswith("VmHWM:"))
+topo = cf.load_topology(%r)
+tms = cf.generate_tms(topo, "exponential", 20, target_ecmp_util=0.9, seed=3)
+dataset = cf.Dataset(matrices=tms, train_indices=list(range(20)), test_indices=[], seed=0)
+peaks = []
+for iterations in (1, 4):
+    config = cf.TrainerConfig(batch_size=20, k=13, total_iterations=iterations,
+                              width=128, seed=1)
+    params, _ = cf.train(topo, dataset, config)
+    fc1_w_bytes = params.fc1_w.nbytes
+    del params
+    peaks.append(rss())
+print((peaks[1] - peaks[0]) / fc1_w_bytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_training_peak_does_not_grow_after_the_first_iteration():
+    env = {**os.environ, "PYTHONPATH": str(Path(cf.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", _TRAINING_IN_STEADY_STATE % str(ABILENE)],
+                         check=True, capture_output=True, text=True, timeout=300,
+                         env=env)
+    assert float(out.stdout) <= 0.1
