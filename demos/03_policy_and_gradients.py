@@ -2,9 +2,10 @@
 
 Shows the traffic-matrix-in, action-distribution-out contract, sampling
 without replacement, a quick finite-difference spot check of the
-hand-written backward pass, and the batched update that training applies:
-one forward and one backward pass over a whole batch, equal to the sum of
-the per-sample gradients.
+hand-written backward pass, and the batched update that training applies,
+rebuilt from logged experiences by `replay_update`: one forward and one
+backward pass over a whole batch, equal to alpha times the sum of the
+per-sample gradients.
 """
 
 import numpy as np
@@ -52,13 +53,17 @@ for name, tensor in params.tensors().items():
 print(f"worst relative error: {worst:.2e}")
 
 print("\n=== Batched update vs per-sample gradients ===")
-tms = [tm, cf.TrafficMatrix(n, demand.T.copy()), tm]   # a repeated state
-sols = [sol, cf.Solution(actions=(0, 4, 9)), cf.Solution(actions=(2, 3, 11))]
-advs, alpha = [1.5, -0.7, 0.0], 0.01
-batched = cf.batch_gradients(params, tms, sols, advs, beta, scale=alpha)
+tms = [tm, cf.TrafficMatrix(n, demand.T.copy())]
+batch = [cf.Experience(0, sol, 1.5, 0.0),   # state 0 twice: a repeated state
+         cf.Experience(1, cf.Solution(actions=(0, 4, 9)), -0.7, 0.0),
+         cf.Experience(0, cf.Solution(actions=(2, 3, 11)), 0.0, 0.0)]
+config = cf.TrainerConfig(alpha0=0.01, beta=beta)
+alpha = cf.learning_rate(config, 0)
+batched = cf.replay_update(params, batch, tms, config, iteration=0)
 for name, t in batched.tensors().items():
-    summed = alpha * sum(cf.gradients(params, m, s, a, beta).tensors()[name]
-                         for m, s, a in zip(tms, sols, advs))
+    summed = alpha * sum(cf.gradients(params, tms[e.state_id], e.solution,
+                                      e.advantage, beta).tensors()[name]
+                         for e in batch)
     err = np.max(np.abs(t - summed)) / np.max(np.abs(summed))
     print(f"  {name:7s} batched vs alpha * sum of per-sample: "
           f"max relative difference {err:.1e}")

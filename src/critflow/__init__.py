@@ -25,8 +25,7 @@ from .rerouting import (ReroutingSolution, solve_rerouting, solve_rerouting_batc
                         OverloadedInstanceError, default_epsilon)
 from .policy import (PolicyParams, ActionDistribution, Solution, init_params,
                      zero_params, forward, forward_batch, sample_solution,
-                     solution_log_prob, entropy, gradients, batch_gradients,
-                     selection_objective,
+                     solution_log_prob, entropy, gradients, selection_objective,
                      save_checkpoint, load_checkpoint, PolicyError)
 from .selectors import (SelectionResult, top_k, top_k_critical, random_k,
                         brute_force_best, SelectionError)

@@ -21,13 +21,12 @@ that the stepped block is finite and once to add it, and writes nothing
 unless every check passes. Training thus holds one copy of the policy.
 `_backward_batch` builds the whole gradient from the same blocks, so a
 step replayed from it has the same bits. `forward`, `gradients` and
-`selection_objective` are batches of one.
+`selection_objective` are batches of one. A forward pass whose logits
+are not finite raises PolicyError instead of returning NaN probabilities.
 """
 
 from __future__ import annotations
 
-import mmap
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,50 +80,15 @@ def _param_shapes(n, width):
             "fc2_w": (width, n_act), "fc2_b": (n_act,)}
 
 
-# The map of each size whose array died last, kept for the next array of
-# that size (see _mapped_empty).
-_SPARE_MAPS = {}
-
-
-def _mapped_empty(shape):
-    """An uninitialized float64 array in an anonymous memory map of its own.
-
-    fc1_w runs to megabytes (8 MiB at 8 nodes and width 128). From the
-    malloc heap, a freed copy leaves a hole that later small allocations
-    split, so the next copy often lands on fresh pages, and a process that
-    initializes one policy after another peaks at two copies or at three,
-    depending on what ran in between. Here the map of an array that died
-    is kept, one per size, for the next array of that size: the peak is
-    the copies alive at once plus at most one spare, and a new policy
-    reuses pages that are already faulted in, as it did from the heap.
-    Training steps its parameters in place and frees no copy per step;
-    the spare serves callers that build a new policy while the old one is
-    alive, and runs that train one policy after another.
-    """
-    count = int(np.prod(shape))
-    nbytes = max(count, 1) * np.dtype(np.float64).itemsize
-    buf = _SPARE_MAPS.pop(nbytes, None)
-    if buf is None:
-        buf = mmap.mmap(-1, nbytes)
-    flat = np.frombuffer(buf, dtype=np.float64)
-    # every view of the result has `flat` as its base, so `flat` dies last
-    weakref.finalize(flat, _SPARE_MAPS.setdefault, nbytes, buf)
-    return flat[:count].reshape(shape)
-
-
 def _glorot(rng, shape, fan_in, fan_out):
-    """Uniform on [-bound, bound): the draws of rng.uniform(-bound, bound,
-    size=shape), bit for bit, written straight into a mapped array."""
+    """Uniform on [-bound, bound) with bound = sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    out = _mapped_empty(shape)
-    rng.random(out=out)
-    out *= 2.0 * bound
-    out -= bound
-    return out
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_params(n, width=128, seed=0):
-    """Variance-preserving uniform init; biases zero."""
+    """Glorot-uniform weights, drawn from one generator in the order
+    conv_w, fc1_w, fc2_w; biases zero."""
     rng = np.random.default_rng(seed)
     n_act = n * (n - 1)
     flat = n * n * width
@@ -143,11 +107,6 @@ def zero_params(n, width=128):
     """All-zero parameters; the forward pass gives the uniform distribution."""
     return PolicyParams(n, width,
                         *(np.zeros(s) for s in _param_shapes(n, width).values()))
-
-
-def zeros_like_params(params):
-    return PolicyParams(params.n, params.width,
-                        *(np.zeros_like(t) for t in params.tensors().values()))
 
 
 @dataclass
@@ -209,7 +168,8 @@ def _log_probs(probs):
 
 def _forward_batch(params, tms):
     """Forward pass over a stack of B matrices; every array has the batch
-    (or batch x cell) as its leading axis."""
+    (or batch x cell) as its leading axis. Raises PolicyError if a logit
+    is not finite."""
     x = _stack_inputs(params, tms)
     b = x.shape[0]
     patches = _im2col(x)                                   # (B*N^2, 9)
@@ -222,6 +182,9 @@ def _forward_batch(params, tms):
     a2 = _leaky(z2)
     logits = a2 @ params.fc2_w                             # (B, n_actions)
     logits += params.fc2_b
+    if not np.isfinite(logits).all():
+        # weights that grew too large overflow a layer: no distribution
+        raise PolicyError("non-finite logits")
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
     return {"patches": patches, "z1": z1, "flat": flat,
@@ -389,22 +352,14 @@ def _step_in_place(params, cache, solutions, advantages, beta, scale):
     return True
 
 
-def batch_gradients(params, tms, solutions, advantages, beta, scale=1.0):
-    """scale * sum over the batch of the ascent gradient of
-    advantage * log pi(sol) + beta * H(pi), for the b-th matrix, solution
-    and advantage; one forward and one backward pass over the whole batch.
-    """
-    return _backward_batch(params, _forward_batch(params, tms), solutions,
-                           advantages, beta, scale)
-
-
 def gradients(params, tm, sol, advantage, beta):
     """Exact ascent gradient of  advantage * log pi(sol) + beta * H(pi).
 
     Returns a PolicyParams-shaped structure. Raises on non-finite
     intermediates, naming the layer.
     """
-    return batch_gradients(params, [tm], [sol], [advantage], beta)
+    return _backward_batch(params, _forward_batch(params, [tm]), [sol],
+                           [advantage], beta)
 
 
 def selection_objective(params, tm, sol, advantage, beta):

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import ecmp, policy
 from .ecmp import compute_ecmp_fractions
-from .policy import (PolicyParams, entropy, init_params, sample_solution,
-                     save_checkpoint)
+from .policy import (PolicyError, PolicyParams, entropy, init_params,
+                     sample_solution, save_checkpoint)
 # No longer called here, but kept as names of this module: the benchmark's
 # tracer (bench/tracing.py) wraps them here, and their spans now read 0;
 # tests/test_imports.py checks that every name it wraps resolves.
@@ -69,8 +69,9 @@ class TrainerConfig:
         for name in ("batch_size", "k", "total_iterations", "alpha0",
                      "decay_every", "decay_base", "alpha_min", "beta",
                      "width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):  # nan > 0 is False
+                raise ValueError(f"{name} must be positive and finite")
         if self.actor_count != 1:
             raise ValueError("actor_count must be 1: training is serial")
         if self.alpha_min > self.alpha0:
@@ -226,13 +227,23 @@ def replay_update(params, experiences, matrices, config, iteration):
     return _accumulate_update(params, matrices, experiences, alpha, config.beta)
 
 
+def _abort(checkpoint_path, params, iteration, v, visits, reason):
+    """Checkpoint `params`, the last finite ones, when a path is given,
+    and raise TrainingError."""
+    if checkpoint_path:
+        save_checkpoint(checkpoint_path, params, iteration=iteration,
+                        baseline_v=v, baseline_n=visits)
+    raise TrainingError(f"{reason} at iteration {iteration}")
+
+
 def train(topo, dataset, config, init=None, checkpoint_path=None,
           checkpoint_every=500):
     """Serial training. Returns (params, TrainingLog).
 
-    Bit-deterministic given config.seed. Aborts (with a checkpoint of the
-    last finite parameters, when a path is given) if an update would
-    produce non-finite values. Steps a copy of `init`, when one is given,
+    Bit-deterministic given config.seed. Aborts with TrainingError (and
+    a checkpoint of the last finite parameters, when a path is given) if
+    a forward pass gives non-finite logits or an update would produce
+    non-finite values. Steps a copy of `init`, when one is given,
     and never writes to `init`.
     """
     matrices = dataset.matrices
@@ -259,7 +270,10 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
         alpha = learning_rate(config, it)
         batch_ids = [int(i) for i in rng.choice(train_ids, size=config.batch_size)]
         tms = [matrices[sid] for sid in batch_ids]
-        activations = policy._forward_batch(params, tms)
+        try:
+            activations = policy._forward_batch(params, tms)
+        except PolicyError as exc:  # the parameters are still the last finite ones
+            _abort(checkpoint_path, params, it, v, visits, exc)
         dists = policy._distributions(activations)
         t_forward = time.perf_counter()
         solutions = [sample_solution(dist, config.k, rng) for dist in dists]
@@ -289,10 +303,7 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
             v[exp.state_id] += exp.reward
             visits[exp.state_id] += 1
         if not stepped:
-            if checkpoint_path:
-                save_checkpoint(checkpoint_path, params, iteration=it,
-                                baseline_v=v, baseline_n=visits)
-            raise TrainingError(f"non-finite parameters at iteration {it}")
+            _abort(checkpoint_path, params, it, v, visits, "non-finite parameters")
         wall_ms = (time.perf_counter() - t0) * 1e3
         log.records.append(IterationRecord(
             iteration=it,

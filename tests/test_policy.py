@@ -106,6 +106,14 @@ def test_weight_map_not_reused_while_a_view_lives():
     assert np.array_equal(view, want)
 
 
+def test_non_finite_logits_raise():
+    params = cf.init_params(4, width=8, seed=0)
+    params.fc1_w[:] = np.finfo(float).max
+    with pytest.raises(cf.PolicyError, match="non-finite logits"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        cf.forward(params, random_tm(4, 0))
+
+
 def test_shape_mismatch_rejected():
     params = cf.init_params(4, width=8, seed=0)
     with pytest.raises(cf.PolicyError):

@@ -9,7 +9,7 @@ import pytest
 
 import critflow as cf
 from critflow import policy, training
-from critflow.policy import forward_batch, zeros_like_params
+from critflow.policy import forward_batch
 from critflow.training import Experience, _accumulate_update
 from conftest import ABILENE, tm_with, tiny_config
 
@@ -72,6 +72,13 @@ def test_config_validation():
         cf.TrainerConfig(batch_size=0)
     with pytest.raises(ValueError):
         cf.TrainerConfig(alpha0=0.0001, alpha_min=0.001)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["alpha0", "alpha_min", "beta", "decay_base"])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=name):
+        cf.TrainerConfig(**{name: value})
 
 
 def test_actor_count_other_than_one_rejected():
@@ -187,6 +194,22 @@ def test_abort_on_nonfinite_params(tiny_instance, tmp_path, monkeypatch):
     assert all(np.all(np.isfinite(t)) for t in params.tensors().values())
 
 
+def test_divergence_aborts_with_the_last_finite_params(tmp_path):
+    # at alpha0 = 0.1 the weights grow until the forward pass overflows
+    topo, matrices = _abilene_instance()
+    dataset = cf.Dataset(matrices=matrices, train_indices=list(range(20)),
+                         test_indices=[], seed=0)
+    config = cf.TrainerConfig(batch_size=20, k=13, total_iterations=200,
+                              width=128, alpha0=0.1, seed=1)
+    ckpt = tmp_path / "abort.npz"
+    with pytest.raises(cf.TrainingError, match="non-finite logits"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        cf.train(topo, dataset, config, checkpoint_path=ckpt)
+    params, iteration, _, _ = cf.load_checkpoint(ckpt)
+    assert 0 < iteration < config.total_iterations
+    assert all(np.all(np.isfinite(t)) for t in params.tensors().values())
+
+
 def test_serial_training_logs_wall_time(tiny_instance):
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=4, batch_size=3)
@@ -246,7 +269,7 @@ def test_phase_times_within_wall_and_cache_hits_count_new_entries(tiny_instance,
 
 def _per_sample_update(params, matrices, experiences, alpha, beta):
     """The update as a loop over the samples: alpha * sum of gradients(...)."""
-    delta = zeros_like_params(params)
+    delta = cf.zero_params(params.n, params.width)
     for exp in experiences:
         g = cf.gradients(params, matrices[exp.state_id], exp.solution,
                          exp.advantage, beta).tensors()
