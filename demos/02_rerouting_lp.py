@@ -44,8 +44,7 @@ u_opt, _ = cf.solve_optimal_all_flows(triangle, tm)
 print(f"u_optimal = {u_opt:.2f}")
 
 print("\n=== The final path LP, in interchange format ===")
-problem = build_path_lp(triangle, tm, background.load, sol.columns,
-                        cf.default_epsilon(triangle, 1))
+problem = build_path_lp(triangle, tm, background.load, sol.columns)
 print(cf.lp_to_text(problem, name="triangle rerouting"))
 
 print("=== Solving it from a crash basis, then handing B^-1 over ===")

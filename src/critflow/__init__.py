@@ -22,7 +22,7 @@ from .simplex import (LpProblem, LpSolution, solve_lp, lp_to_text, dump_lp,
 from .rerouting import (ReroutingSolution, solve_rerouting, solve_rerouting_batch,
                         solve_optimal_all_flows, check_rerouting_feasibility,
                         evaluate_delay, solve_delay_optimal,
-                        OverloadedInstanceError, default_epsilon)
+                        OverloadedInstanceError)
 from .policy import (PolicyParams, ActionDistribution, Solution, init_params,
                      zero_params, forward, forward_batch, sample_solution,
                      solution_log_prob, entropy, gradients, selection_objective,

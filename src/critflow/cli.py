@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evaluation, selectors, topology, traffic, training
 from .policy import load_checkpoint
-from .rerouting import build_path_lp, default_epsilon, solve_rerouting
+from .rerouting import build_path_lp, solve_rerouting
 from .simplex import dump_lp
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
 
@@ -240,9 +240,8 @@ def _maybe_dump_lp(opts, topo, tm, k):
     fractions = compute_ecmp_fractions(topo)
     flows = sorted(selectors.top_k_critical(topo, tm, k, fractions=fractions).flows)
     background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
-    epsilon = default_epsilon(topo, len(flows))
-    sol = solve_rerouting(topo, tm, flows, background, epsilon)
-    problem = build_path_lp(topo, tm, background.load, sol.columns, epsilon)
+    sol = solve_rerouting(topo, tm, flows, background)
+    problem = build_path_lp(topo, tm, background.load, sol.columns)
     dump_lp(problem, opts["dump_lp"], name="rerouting")
     print(f"wrote LP dump to {opts['dump_lp']}")
 

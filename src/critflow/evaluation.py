@@ -120,7 +120,7 @@ def select(method, topo, tm, k, params=None, fractions=None, seed=0):
     if method == "top_k_critical":
         return top_k_critical(topo, tm, k, fractions=fractions)
     if method == "random":
-        return random_k(tm.n * (tm.n - 1), k, seed, n=tm.n)
+        return random_k(tm.n, k, seed)
     raise EvaluationError(f"unknown method {method!r}")
 
 

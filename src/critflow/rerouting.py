@@ -5,32 +5,23 @@ else contributes a fixed background load (normally its ECMP share). The LP
 has one column per (selected flow f, path p), x_p being the share of f's
 demand d_f sent down p:
 
-    minimize    U + eps * sum_p len(p) * x_p
+    minimize    U
     subject to  (sum_p d_f * x_p * [e in p] + background_e) / capacity_e <= U
                 sum over f's paths of x_p = 1        for every selected f
                 x >= 0,  U >= 0
 
-The eps term keeps optimal routes from wandering onto needlessly long
-paths while staying far too small to perturb U. The capacity rows are in
+Among routings of equal U the LP prefers none. The capacity rows are in
 utilization units, so their slacks and duals are of order one whatever
-the capacities. Two paths of one flow that cost the same under the duals
-differ in reduced cost by eps times their difference in hops, so the
-simplex and the pricing see the tie-break only where eps exceeds the
-absolute reduced-cost tolerance REDUCED_COST_TOL = 1e-9.
-default_epsilon, 1e-4 / (M K), does so only while M K < 1e5: eps / tol
-is 256 on Abilene at K = 13, 26.5 on a 23-node 74-link net at K = 51,
-2.47 on a 49-node 172-link net at K = 235 and 0.25 for that net's
-all-flows optimum, where the LP can end on a longer path of equal
-utilization. U is optimal to the tolerance either way. The paths are not
-enumerated: the LP is solved by column generation (Ford & Fulkerson
-1958). It starts from each flow's min-cost path; after every solve, one
-batched Bellman-Ford pass (topology.shortest_path_trees) finds, for all
-flows at once, the path of least reduced cost under each flow's link
-weights eps - y_e * d_f / capacity_e (y_e <= 0 the capacity row duals),
-and a path that prices below zero joins the LP. No such path left means
-the LP over the paths in hand is optimal over all paths. A flow's split
-ratio on a link (`sigma`) is the sum of its paths' shares through that
-link, so it carries no cycle.
+the capacities. The paths are not enumerated: the LP is solved by column
+generation (Ford & Fulkerson 1958). It starts from each flow's min-cost
+path; after every solve, one batched Bellman-Ford pass
+(topology.shortest_path_trees) finds, for all flows at once, a path of
+least reduced cost under each flow's link weights -y_e * d_f /
+capacity_e (y_e <= 0 the capacity row duals), and of those one with the
+fewest hops, so no needless detour joins. A path that prices below zero
+joins the LP. No such path left means the LP over the paths in hand is
+optimal over all paths. A flow's split ratio on a link (`sigma`) is the
+sum of its paths' shares through that link, so it carries no cycle.
 
 Many LPs of one K are solved in lockstep (solve_rerouting_batch; a
 single call is its batch of one): one stack of path LPs, each
@@ -102,7 +93,7 @@ class OverloadedInstanceError(Exception):
 class ReroutingSolution:
     sigma: dict            # (s, d) -> (M,) split-ratio vector
     u: float               # max link utilization achieved
-    objective: float       # LP objective (U + eps * sum sigma)
+    objective: float       # the LP's U
     link_loads: LinkLoads
     paths: dict = field(default_factory=dict)  # (s, d) -> final path pool, link tuples
     # (s, d) -> the final LP's share of each path in paths[(s, d)]
@@ -115,11 +106,6 @@ class ReroutingSolution:
     round_columns: list = field(default_factory=list)
 
 
-def default_epsilon(topo, k):
-    """Small enough that the path-length tie-break never moves U."""
-    return 1e-4 / (topo.link_count * max(k, 1))
-
-
 def _flat_paths(cols):
     """(flow position, hops) of each (flow position, path) pair in cols,
     and all their links, path after path."""
@@ -130,10 +116,10 @@ def _flat_paths(cols):
     return fis, hops, links
 
 
-def _path_columns(topo, demand, cols, epsilon):
+def _path_columns(topo, demand, cols):
     """The path LP's columns for the (flow, path) pairs in cols, one row
-    each, and their costs: the flow's demand over capacity on the path's
-    capacity rows, 1 on the flow's convexity row, cost eps per hop. For
+    each: the flow's demand over capacity on the path's capacity rows, 1
+    on the flow's convexity row; every path column costs 0. For
     a (K,) demand a flow is its position; for a stack's (B, K) demand,
     LP * K + its position in that LP."""
     m, k = topo.link_count, demand.shape[-1]
@@ -143,10 +129,10 @@ def _path_columns(topo, demand, cols, epsilon):
     rows[np.repeat(j, hops), links] = (np.repeat(demand.reshape(-1)[fis], hops)
                                        / topo.capacity[links])
     rows[j, m + fis % k] = 1.0
-    return rows, epsilon * hops
+    return rows
 
 
-def build_path_lp(topo, tm, background_load, columns, epsilon):
+def build_path_lp(topo, tm, background_load, columns):
     """Assemble the path LP over the given columns, one ((s, d), path)
     each, a path being a tuple of link indices: variable 0 is U, then one
     variable per column, in order. Rows: one capacity row per link, in
@@ -160,12 +146,14 @@ def build_path_lp(topo, tm, background_load, columns, epsilon):
         hops = "_".join(str(topo.links[e].src) for e in p)
         names.append(f"x{s}_{d}__{hops}_{d}")
     m, k = topo.link_count, len(flows)
-    rows, costs = _path_columns(topo, np.array([tm.demand[f] for f in flows]), cols, epsilon)
+    rows = _path_columns(topo, np.array([tm.demand[f] for f in flows]), cols)
     u_col = np.zeros((m + k, 1))
     u_col[:m] = -1.0
     b = np.concatenate([-np.asarray(background_load, dtype=float) / topo.capacity,
                         np.ones(k)])
-    return LpProblem(c=np.concatenate([[1.0], costs]), a=np.hstack([u_col, rows.T]),
+    c = np.zeros(1 + len(cols))
+    c[0] = 1.0
+    return LpProblem(c=c, a=np.hstack([u_col, rows.T]),
                      rel=["<="] * m + ["="] * k, b=b, var_names=names)
 
 
@@ -183,21 +171,21 @@ def _load_vector(background):
                       else background, dtype=float)
 
 
-def solve_rerouting(topo, tm, critical, background, epsilon=None):
+def solve_rerouting(topo, tm, critical, background):
     """Optimal split ratios for the flows in `critical` given fixed
     background loads (from ECMP with those flows excluded).
 
     Column generation over simple paths (see the module docstring); the
     returned `paths` hold each flow's final pool and `columns` the last
     LP's columns in order, so
-    build_path_lp(topo, tm, background, columns, epsilon) is the last LP
+    build_path_lp(topo, tm, background, columns) is the last LP
     solved. A flow listed twice, or from a node to itself, raises
     ValueError. This is solve_rerouting_batch's batch of one.
     """
-    return solve_rerouting_batch(topo, [tm], [critical], [background], epsilon)[0]
+    return solve_rerouting_batch(topo, [tm], [critical], [background])[0]
 
 
-def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
+def solve_rerouting_batch(topo, tms, criticals, backgrounds):
     """solve_rerouting for each (matrix, critical flows, background)
     triple, as one stack of path LPs; every critical set has the same
     size K, else ValueError.
@@ -221,8 +209,6 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
         raise ValueError("the critical sets of one batch must have one size")
     if k == 0:
         return [_background_only(topo, bg) for bg in bgs]
-    if epsilon is None:
-        epsilon = default_epsilon(topo, k)
     m, size = topo.link_count, len(flows)
     inv_cap = 1.0 / topo.capacity
     src, dst = np.array(flows).transpose(2, 0, 1)  # (B, K) each
@@ -237,9 +223,7 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
     store = np.zeros((size, 1 + 2 * k, m + k))
     cost = np.zeros(store.shape[:2])
     store[:, 0, :m], cost[:, 0] = -1.0, 1.0
-    seed_cols, seed_cost = _path_columns(topo, demand, seeds, epsilon)
-    store[:, 1:k + 1] = seed_cols.reshape(size, k, m + k)
-    cost[:, 1:k + 1] = seed_cost.reshape(size, k)
+    store[:, 1:k + 1] = _path_columns(topo, demand, seeds).reshape(size, k, m + k)
     bg = np.array(bgs)
     basis, binv = _crash_start(topo, demand, seeds, bg, store[:, 1:k + 1, :m])
     rhs = np.concatenate([-bg / topo.capacity, np.ones((size, k))], axis=1)
@@ -261,8 +245,7 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
             round_pivots[lp].append(pivots)
         y, mu = sol.duals[:, :m], sol.duals[:, m:]
         # y <= 0 on the capacity rows, up to the solver's tolerance
-        weights = np.maximum(epsilon - stack_demand[:, :, None] * (y * inv_cap)[:, None, :],
-                             0.0)
+        weights = np.maximum(-stack_demand[:, :, None] * (y * inv_cap)[:, None, :], 0.0)
         dist, tree = shortest_path_trees(topo, src.reshape(-1), weights.reshape(-1, m))
         cheap = dist[np.arange(src.size), dst.reshape(-1)].reshape(src.shape) - mu
         new = []  # (stack position * K + flow position, path)
@@ -290,9 +273,8 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
              added) = (v[keep] for v in (store, cost, rhs, stack_demand, src, dst, width,
                                          lp_of, basis, binv, added))
             owner = np.searchsorted(keep, owner)
-        cols, costs = _path_columns(topo, stack_demand,
-                                    list(zip((owner * k + fis).tolist(),
-                                             (path for _, path in new))), epsilon)
+        cols = _path_columns(topo, stack_demand,
+                             list(zip((owner * k + fis).tolist(), (path for _, path in new))))
         n_next = int((width + added).max())
         if n_next > store.shape[1]:  # the column store at least doubles
             extra = max(n_next, 2 * store.shape[1]) - store.shape[1]
@@ -301,7 +283,7 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds, epsilon=None):
                 for v in (store, cost))
         # each LP's new paths go after its last column, in flow order
         at = width[owner] + np.arange(len(new)) - np.searchsorted(owner, owner)
-        store[owner, at], cost[owner, at] = cols, costs
+        store[owner, at] = cols
         width = width + added
         # the new columns enter nonbasic at 0: each optimal basis stays
         # feasible, and B, so B^-1, is unchanged; the slacks, numbered
@@ -603,8 +585,8 @@ def solve_delay_optimal(topo, tm, start=None, max_iters=5000):
     never below it).
     After `max_iters` steps without that certificate it raises
     RuntimeError; on 48 matrices of an 8-node, 28-link net at ECMP
-    utilization 0.9 it took at most 22 steps, and on three of a 49-node,
-    172-link net at most 126.
+    utilization 0.9 it took at most 23 steps, and on three of a 49-node,
+    172-link net at most 130.
 
     Returns (omega, LinkLoads).
     """

@@ -91,8 +91,9 @@ def top_k_critical(topo, tm, k, fractions=None):
     return SelectionResult(flows=tuple(flows), method="top_k_critical")
 
 
-def random_k(n_flows, k, seed, n):
+def random_k(n, k, seed):
     """Uniform without-replacement sample of k flow ids of an n-node net."""
+    n_flows = n * (n - 1)
     if k > n_flows:
         raise SelectionError(f"k={k} exceeds flow count {n_flows}")
     rng = np.random.default_rng(seed)

@@ -229,17 +229,17 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
     return best
 
 
-def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
+def build_rerouting_lp(topo, tm, critical, background_load):
     """Edge form of the rerouting LP; variable 0 is U, then one ratio per
     (flow, link). Its size is 1 + K*M columns and M + K*N rows. The
     ratios have no bound of 1: one above 1 needs a cycle, which only adds
-    load and, with eps > 0, cost."""
+    load."""
     flows = sorted(critical)
     n, m = topo.node_count, topo.link_count
     k = len(flows)
     nv = 1 + k * m
 
-    c = np.full(nv, epsilon)
+    c = np.zeros(nv)
     c[0] = 1.0
 
     rows = []
@@ -277,10 +277,10 @@ def build_rerouting_lp(topo, tm, critical, background_load, epsilon):
     return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs), var_names=names)
 
 
-def edge_form_u(topo, tm, critical, background_load, epsilon):
+def edge_form_u(topo, tm, critical, background_load):
     """Max utilization of the edge-form optimum by HiGHS, read from its
     link loads."""
-    _, x = highs_min(build_rerouting_lp(topo, tm, critical, background_load, epsilon))
+    _, x = highs_min(build_rerouting_lp(topo, tm, critical, background_load))
     load = np.array(background_load, dtype=float)
     for fi, (s, d) in enumerate(sorted(critical)):
         load += x[1 + fi * topo.link_count: 1 + (fi + 1) * topo.link_count] * tm.demand[s, d]

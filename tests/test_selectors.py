@@ -95,10 +95,10 @@ def test_every_flow_crosses_a_link():
 
 
 def test_random_k_properties():
-    sel = cf.random_k(12, 12, seed=0, n=4)
+    sel = cf.random_k(4, 12, seed=0)
     assert len(sel.flows) == 12
-    a = cf.random_k(12, 3, seed=5, n=4)
-    b = cf.random_k(12, 3, seed=5, n=4)
+    a = cf.random_k(4, 3, seed=5)
+    b = cf.random_k(4, 3, seed=5)
     assert a.flows == b.flows
 
 
@@ -106,7 +106,7 @@ def test_random_k_inclusion_frequency():
     counts = np.zeros(12)
     k, draws = 3, 10_000
     for seed in range(draws):
-        for s, d in cf.random_k(12, k, seed=seed, n=4).flows:
+        for s, d in cf.random_k(4, k, seed=seed).flows:
             counts[cf.flow_index(s, d, 4)] += 1
     freqs = counts / draws
     expected = k / 12
@@ -162,7 +162,7 @@ def test_selectors_dominance(ring5):
         _, u_bf = cf.brute_force_best(ring5, tm, 2, fractions=fr)
         for sel in (cf.top_k(tm, 2),
                     cf.top_k_critical(ring5, tm, 2, fractions=fr),
-                    cf.random_k(20, 2, seed=seed, n=5)):
+                    cf.random_k(5, 2, seed=seed)):
             bg = cf.ecmp_link_loads(ring5, tm, fr, exclude=sel.flows)
             u = cf.solve_rerouting(ring5, tm, sel.flows, bg).u
             assert u_bf <= u + 1e-9
@@ -172,7 +172,7 @@ def test_all_selectors_return_k_distinct_flows(ring5):
     tm = cf.generate_tms(ring5, "uniform", 1, 0.9, seed=0)[0]
     for k in (1, 3, 5):
         for sel in (cf.top_k(tm, k), cf.top_k_critical(ring5, tm, k),
-                    cf.random_k(20, k, seed=1, n=5)):
+                    cf.random_k(5, k, seed=1)):
             assert len(sel.flows) == k
             assert len(set(sel.flows)) == k
             assert all(s != d for s, d in sel.flows)
@@ -183,4 +183,4 @@ def test_invalid_k_rejected(ring5):
     with pytest.raises(cf.SelectionError):
         cf.top_k(tm, 21)
     with pytest.raises(cf.SelectionError):
-        cf.random_k(20, 21, seed=0, n=5)
+        cf.random_k(5, 21, seed=0)
