@@ -20,9 +20,8 @@ from math import comb, floor
 
 import numpy as np
 
-from . import evaluation, selectors, topology, traffic, training
+from . import evaluation, rerouting, selectors, topology, traffic, training
 from .policy import load_checkpoint
-from .rerouting import build_path_lp, solve_rerouting
 from .simplex import dump_lp
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
 
@@ -191,6 +190,11 @@ def _echo_config(opts, out_dir):
             fh.write(f"{key}={'' if val is None else val}\n")
 
 
+def _k_of_fraction(frac, n):
+    """Round-half-up of frac * N(N-1) flows, at least 1."""
+    return max(1, int(floor(frac * (n * (n - 1)) + 0.5)))
+
+
 def resolve_k(opts, n):
     """Explicit --k wins; otherwise round-half-up of k_fraction * N(N-1)."""
     if opts.get("k") is not None:
@@ -201,7 +205,7 @@ def resolve_k(opts, n):
     frac = float(opts["k_fraction"])
     if not (0 < frac <= 1):
         raise UsageError(f"k_fraction must be in (0,1], got {frac}")
-    return max(1, int(floor(frac * n * (n - 1) + 0.5)))
+    return _k_of_fraction(frac, n)
 
 
 def _load_topology(opts):
@@ -240,8 +244,8 @@ def _maybe_dump_lp(opts, topo, tm, k):
     fractions = compute_ecmp_fractions(topo)
     flows = sorted(selectors.top_k_critical(topo, tm, k, fractions=fractions).flows)
     background = ecmp_link_loads(topo, tm, fractions, exclude=flows)
-    sol = solve_rerouting(topo, tm, flows, background)
-    problem = build_path_lp(topo, tm, background.load, sol.columns)
+    sol = rerouting.solve_rerouting(topo, tm, flows, background)
+    problem = rerouting.build_path_lp(topo, tm, background.load, sol.columns)
     dump_lp(problem, opts["dump_lp"], name="rerouting")
     print(f"wrote LP dump to {opts['dump_lp']}")
 
@@ -328,10 +332,10 @@ def cmd_sweep_k(opts):
         params, _, _, _ = load_checkpoint(opts["checkpoint"])
     test = dataset.test
     fr = compute_ecmp_fractions(topo)
-    u_opts = [evaluation.solve_optimal_all_flows(topo, tm)[0] for tm in test]
+    u_opts = [rerouting.solve_optimal_all_flows(topo, tm)[0] for tm in test]
     rows = []
     for f in sorted(set(opts["fractions"])):
-        k = 0 if f == 0 else max(1, int(floor(f * n_flows + 0.5)))
+        k = 0 if f == 0 else _k_of_fraction(f, n)
         sel_name = selector
         if selector == "auto":
             if k == 0:

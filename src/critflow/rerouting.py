@@ -219,40 +219,41 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
     seeds = [(lp * k + fi, pool[0]) for lp in range(size)
              for fi, pool in enumerate(pools[lp])]
     # the column store: column j of stack LP i is store[i, j], U first;
-    # past an LP's width, zero columns of zero cost pad it to the stack's
+    # past an LP's width, zero columns pad it to the stack's. Only U
+    # costs, so each round's costs are U's unit row
     store = np.zeros((size, 1 + 2 * k, m + k))
-    cost = np.zeros(store.shape[:2])
-    store[:, 0, :m], cost[:, 0] = -1.0, 1.0
+    store[:, 0, :m] = -1.0
     store[:, 1:k + 1] = _path_columns(topo, demand, seeds).reshape(size, k, m + k)
     bg = np.array(bgs)
     basis, binv = _crash_start(topo, demand, seeds, bg, store[:, 1:k + 1, :m])
     rhs = np.concatenate([-bg / topo.capacity, np.ones((size, k))], axis=1)
     rel = ["<="] * m + ["="] * k
     width = np.full(size, 1 + k)
-    lp_of = np.arange(size)  # the batch position of each LP in the stack
-    stack_demand = demand
+    lp_of = np.arange(size)  # each stack LP's batch position, for its inputs
     done = [None] * size
     round_pivots = [[] for _ in flows]
     round_columns = [[k] for _ in flows]
     columns = [[(f, pool[0]) for f, pool in zip(fl, pl)] for fl, pl in zip(flows, pools)]
     n = 1 + k
     while True:
-        # views of the column store: the next round's columns write to it
-        problem = LpProblem(c=cost[:, :n], a=store[:, :n].transpose(0, 2, 1), rel=rel,
-                            b=rhs)
+        cost = np.zeros((lp_of.size, n))
+        cost[:, 0] = 1.0
+        # a view of the column store: the next round's columns write to it
+        problem = LpProblem(c=cost, a=store[:, :n].transpose(0, 2, 1), rel=rel, b=rhs[lp_of])
         sol = solve_lp(problem, basis=basis, binv=binv)
         for lp, pivots in zip(lp_of.tolist(), sol.pivots.tolist()):
             round_pivots[lp].append(pivots)
         y, mu = sol.duals[:, :m], sol.duals[:, m:]
         # y <= 0 on the capacity rows, up to the solver's tolerance
-        weights = np.maximum(-stack_demand[:, :, None] * (y * inv_cap)[:, None, :], 0.0)
-        dist, tree = shortest_path_trees(topo, src.reshape(-1), weights.reshape(-1, m))
-        cheap = dist[np.arange(src.size), dst.reshape(-1)].reshape(src.shape) - mu
+        weights = np.maximum(-demand[lp_of][:, :, None] * (y * inv_cap)[:, None, :], 0.0)
+        sources = src[lp_of].reshape(-1)
+        dist, tree = shortest_path_trees(topo, sources, weights.reshape(-1, m))
+        cheap = dist[np.arange(sources.size), dst[lp_of].reshape(-1)].reshape(-1, k) - mu
         new = []  # (stack position * K + flow position, path)
         for i, fi in zip(*np.nonzero(cheap < -REDUCED_COST_TOL)):
             g = i * k + fi
-            path = tree_path(topo, tree[g], src[i, fi], dst[i, fi])
             lp = lp_of[i]
+            path = tree_path(topo, tree[g], src[lp, fi], dst[lp, fi])
             pool = pools[lp][fi]
             # a path already in the pool prices >= -tol in the LP just
             # solved, whatever this sum rounds to: never add it twice
@@ -269,18 +270,15 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
         basis, binv = sol.basis, sol.binv
         if not added.all():  # the finished LPs leave the stack
             keep = np.flatnonzero(added)
-            (store, cost, rhs, stack_demand, src, dst, width, lp_of, basis, binv,
-             added) = (v[keep] for v in (store, cost, rhs, stack_demand, src, dst, width,
-                                         lp_of, basis, binv, added))
+            store, width, lp_of, basis, binv, added = (
+                v[keep] for v in (store, width, lp_of, basis, binv, added))
             owner = np.searchsorted(keep, owner)
-        cols = _path_columns(topo, stack_demand,
+        cols = _path_columns(topo, demand[lp_of],
                              list(zip((owner * k + fis).tolist(), (path for _, path in new))))
         n_next = int((width + added).max())
         if n_next > store.shape[1]:  # the column store at least doubles
             extra = max(n_next, 2 * store.shape[1]) - store.shape[1]
-            store, cost = (
-                np.concatenate([v, np.zeros((v.shape[0], extra, *v.shape[2:]))], axis=1)
-                for v in (store, cost))
+            store = np.concatenate([store, np.zeros((lp_of.size, extra, m + k))], axis=1)
         # each LP's new paths go after its last column, in flow order
         at = width[owner] + np.arange(len(new)) - np.searchsorted(owner, owner)
         store[owner, at] = cols

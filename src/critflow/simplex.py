@@ -26,7 +26,11 @@ columns of zero cost, which price at exactly 0 and so never enter a
 basis, and an LP gets the same bits alone or inside any stack: each
 product with B^-1 is the LP's own (np.matvec, np.vecmat), each column's
 reduced cost one dot product over its m rows (np.vecdot), whatever the
-width, and the objective is summed left to right.
+width, and the objective is summed left to right. Every LP of a call
+starts at 0 pivots and every live LP pivots once per step, so one step
+count gives each LP its pivots (the step it leaves at) and its refreshes
+of B^-1 (one each REFRESH_EVERY steps); the basic columns are masked out
+of pricing through the basis itself.
 
 The slack of '<=' row k is column n + k, a unit column on row k that is
 never stored. Each solution counts its pivots, its degenerate pivots and
@@ -167,7 +171,9 @@ def solve_lp(problem, basis, binv=None, max_iters=None):
     `max_iters` bounds the pivots of each LP.
 
     Raises LpUnboundedError / LpIterationLimitError when any LP of the
-    call does.
+    call does. The LpIterationLimitError's basis and x are those of the
+    first LP of the stack still pivoting at the limit, as that LP alone
+    would report them.
     """
     stacked = problem.stack is not None
     n, m, n_slack = problem.n_vars, problem.n_rows, problem.n_inequalities
@@ -194,7 +200,7 @@ def solve_lp(problem, basis, binv=None, max_iters=None):
     if max_iters is None:
         max_iters = max(5000, 60 * (m + st.n_total))
     c2 = np.concatenate([c, np.zeros((size, n_slack))], axis=1)
-    _run(st, c2, max_iters)
+    pivots = _run(st, c2, max_iters)
 
     x = np.maximum(st.values()[:, :n], 0.0)  # shave solver-tolerance dust off 0
     resid = (x[:, None, :] @ at)[:, 0] - b
@@ -204,10 +210,10 @@ def solve_lp(problem, basis, binv=None, max_iters=None):
         raise LpError(f"solution violates row {row} by {resid[lp, row]:.3e}"
                       + (f" in LP {lp} of the stack" if stacked else ""))
     sol = LpSolution(x=x, objective=_sequential_sums(c * x),
-                     iterations=int(st.iterations.sum()), pivots=st.iterations,
+                     iterations=int(pivots.sum()), pivots=pivots,
                      duals=np.vecmat(c2[st.lp, st.basis], st.binv), basis=st.basis,
                      degenerate_pivots=st.degenerate_pivots, used_bland=st.bland,
-                     refreshes=st.refreshes,
+                     refreshes=pivots // REFRESH_EVERY,
                      max_residual=np.maximum(violation.max(axis=1, initial=0.0), 0.0),
                      inverted=st.inverted, binv=st.binv)
     return sol if stacked else _single(sol)
@@ -250,10 +256,15 @@ def _checked_basis(basis, n, m, n_slack, lead):
 class _Stack:
     """Simplex state of a stack of LPs over the columns [A | I]: the
     structural columns as the rows of `at`, then the slack of each '<='
-    row k, column n + k, a unit column on row k that is never stored."""
+    row k, column n + k, a unit column on row k that is never stored.
 
-    _MUTABLE = ("basis", "binv", "xb", "in_basis", "iterations", "since_refresh",
-                "refreshes", "bland", "degenerate_run", "degenerate_pivots", "inverted")
+    It holds only what differs between the LPs and cannot be derived:
+    the basis (which also says which columns are basic), B^-1, the basic
+    values and the degenerate-pivot state. Pivots and refreshes are
+    _run's one step count; `inverted` is _warm_start's and stays with
+    the full stack."""
+
+    _MUTABLE = ("basis", "binv", "xb", "bland", "degenerate_run", "degenerate_pivots")
 
     def __init__(self, at, b, n_slack, basis, **state):
         self.at, self.b, self.n_slack = at, b, n_slack  # (B, n, m), (B, m)
@@ -264,13 +275,8 @@ class _Stack:
             self.__dict__.update(state)
             return
         self.binv = self.xb = None  # (B, m, m), (B, m)
-        self.in_basis = np.zeros((size, self.n_total), dtype=bool)
-        self.in_basis[self.lp, basis] = True
-        counters = np.zeros((5, size), dtype=int)
-        (self.iterations, self.since_refresh, self.refreshes, self.degenerate_run,
-         self.degenerate_pivots) = counters
-        flags = np.zeros((2, size), dtype=bool)
-        self.bland, self.inverted = flags
+        self.degenerate_run, self.degenerate_pivots = np.zeros((2, size), dtype=int)
+        self.bland = np.zeros(size, dtype=bool)
 
     @property
     def n(self):
@@ -317,11 +323,10 @@ class _Stack:
         out[:, :self.n_slack] += w[:, n:]
         return out
 
-    def refresh(self, lps):
-        """Recompute B^-1 and the basic values of LPs lps from scratch."""
-        self.binv[lps] = np.linalg.inv(self.basis_matrix(lps))
-        self.xb[lps] = (self.binv[lps] @ self.b[lps][:, :, None])[:, :, 0]
-        self.since_refresh[lps] = 0
+    def refresh(self):
+        """Recompute B^-1 and the basic values of every LP from scratch."""
+        self.binv = np.linalg.inv(self.basis_matrix(np.arange(self.basis.shape[0])))
+        self.xb = (self.binv @ self.b[:, :, None])[:, :, 0]
 
     def values(self):
         """(B, n_total): every variable's value."""
@@ -345,7 +350,7 @@ def _warm_start(st, binv, scale, stacked):
         st.inverted = ~(miss <= SINGULAR_TOL * scale)  # also on nan
     else:
         st.binv, st.xb = np.empty((size, m, m)), np.empty((size, m))
-        st.inverted[:] = True
+        st.inverted = np.ones(size, dtype=bool)
     singular = np.zeros(size, dtype=bool)
     redo = np.flatnonzero(st.inverted)
     for i, bmat in zip(redo, st.basis_matrix(redo)):
@@ -366,48 +371,45 @@ def _warm_start(st, binv, scale, stacked):
 
 def _run(full, c, max_iters):
     """Pivot every LP of the stack until optimal for its costs c (B,
-    n_total). Mutates the stack in place. An LP with nothing left to enter
-    leaves the loop: its state goes back to the stack, and the others go
-    on as a stack of their own."""
+    n_total), and return each LP's pivots (B,). Mutates the stack in
+    place. Every live LP pivots once per step, so one step count serves
+    them all: an LP's pivots are the step at which it leaves the loop,
+    the limit is the step reaching max_iters, and B^-1 is rebuilt for
+    every live LP each REFRESH_EVERY steps. An LP with nothing left to
+    enter leaves the loop: its state goes back to the stack, and the
+    others go on as a stack of their own. At the limit, the error names
+    the first LP still live."""
     st, ids = full, None  # ids: the LPs of full that st holds, once it is a copy
     n, n_slack, n_total = full.n, full.n_slack, full.n_total
-    bland = bool(st.bland.any())
-    # every live LP pivots once per step, so their iteration and refresh
-    # counts catch up `steps` at a time
-    steps = 0
+    bland = False  # some LP has turned to Bland's rule
     size = st.basis.shape[0]
     rows = np.arange(size)
     lp = rows[:, None]
     d = np.empty((size, n_total))
-    pivots_left = max_iters - int(st.iterations.max())
-    refresh_in = REFRESH_EVERY - int(st.since_refresh.max())
+    pivots = np.zeros(size, dtype=int)
+    step = 0
     while True:
-        if pivots_left <= 0:
-            st.iterations += steps
-            i = int(np.argmax(st.iterations >= max_iters))
+        if step >= max_iters:
             raise LpIterationLimitError(f"iteration limit {max_iters} exceeded",
-                                        basis=st.basis[i].copy(), x=st.values()[i])
+                                        basis=st.basis[0].copy(), x=st.values()[0])
         dual = np.vecmat(c[lp, st.basis], st.binv)
         np.subtract(c[:, :n], np.vecdot(st.at, dual[:, None, :]), out=d[:, :n])
         np.negative(dual[:, :n_slack], out=d[:, n:])
-        cand = ~st.in_basis & (d < -REDUCED_COST_TOL)
+        d[lp, st.basis] = 0.0  # a basic column never enters
+        cand = d < -REDUCED_COST_TOL
         live = cand.any(axis=1)
         if not live.all():
-            st.iterations += steps
-            st.since_refresh += steps
-            steps = 0
             if ids is None:
                 ids = rows
             else:
                 full.put(ids[~live], st, ~live)
+            pivots[ids[~live]] = step
             if not live.any():
-                return
+                return pivots
             ids, st, c, d, cand = ids[live], st.take(live), c[live], d[live], cand[live]
             size = ids.size
             rows = np.arange(size)
             lp = rows[:, None]
-            pivots_left = max_iters - int(st.iterations.max())
-            refresh_in = REFRESH_EVERY - int(st.since_refresh.max())
         # Dantzig: the least d, the first of equals; Bland: the first candidate
         j = np.where(cand, d, np.inf).argmin(axis=1)
         if bland:
@@ -426,9 +428,7 @@ def _run(full, c, max_iters):
         leave_row = np.where(ratio < (t_min + PIVOT_TOL)[:, None], st.basis,
                              n_total).argmin(axis=1)
         t = np.maximum(ratio[rows, leave_row], 0.0)
-        steps += 1
-        pivots_left -= 1
-        refresh_in -= 1
+        step += 1
         degenerate = t <= DEGENERATE_STEP_TOL
         if degenerate.any():
             st.degenerate_pivots += degenerate
@@ -440,23 +440,14 @@ def _run(full, c, max_iters):
             st.degenerate_run[:] = 0
         st.xb -= t[:, None] * alpha
         st.xb[rows, leave_row] = t
-        leaving = st.basis[rows, leave_row]
-        st.in_basis[rows, leaving] = False
         st.basis[rows, leave_row] = j
-        st.in_basis[rows, j] = True
 
         binv = st.binv
         new_row = binv[rows, leave_row] / alpha[rows, leave_row][:, None]
         binv -= alpha[:, :, None] * new_row[:, None, :]
         binv[rows, leave_row] = new_row
-        if refresh_in <= 0:
-            st.since_refresh += steps
-            st.iterations += steps
-            steps = 0
-            due = np.flatnonzero(st.since_refresh >= REFRESH_EVERY)
-            st.refresh(due)
-            st.refreshes[due] += 1
-            refresh_in = REFRESH_EVERY - int(st.since_refresh.max())
+        if step % REFRESH_EVERY == 0:
+            st.refresh()
 
 
 def lp_to_text(problem, name="lp"):

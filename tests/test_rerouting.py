@@ -241,7 +241,7 @@ def _abilene_case(k, seed=0):
     return topo, tm, flows, background_for(topo, tm, flows)
 
 
-def test_zero_epsilon_terminates():
+def test_zero_pricing_weights_terminate():
     # the objective is U alone, so every link with a slack capacity row
     # weighs 0 in pricing
     topo, tm, flows, bg = _abilene_case(13)
@@ -303,7 +303,7 @@ def test_ebone_sized_optimum_matches_highs():
         assert u_opt == pytest.approx(u_highs, rel=1e-7, abs=0.0)
 
 
-def test_tie_break_honoured_at_abilene_scale():
+def test_abilene_u_matches_highs():
     # Abilene's capacities are 9920, far from the utilization units of the
     # capacity rows: U is HiGHS's to 1e-12 relative, with no term in the
     # objective that could trade U for fewer hops

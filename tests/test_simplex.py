@@ -395,6 +395,29 @@ def test_stack_iteration_limit_raises():
     assert got.iterations == sum(s.iterations for s in alone)
 
 
+def test_stack_iteration_limit_reports_the_first_live_lp():
+    problems, bases = _stack_cases(47, 4, 6)
+    pivots = [cf.solve_lp(p, basis=b).iterations for p, b in zip(problems, bases)]
+    limit = 2
+    live = [i for i, p in enumerate(pivots) if p >= limit]
+    # LP 0 leaves the loop before the limit, and more than one LP is live at it
+    assert pivots[0] < limit and len(live) >= 2 and min(pivots) < limit
+    first = live[0]
+    with pytest.raises(cf.LpIterationLimitError) as alone:
+        cf.solve_lp(problems[first], basis=bases[first], max_iters=limit)
+    stack = _stacked(problems)
+    n, k = stack.n_vars, problems[first].n_vars
+    with pytest.raises(cf.LpIterationLimitError) as exc:
+        cf.solve_lp(stack, basis=[_in_stack(p, b, n) for p, b in zip(problems, bases)],
+                    max_iters=limit)
+    assert np.array_equal(exc.value.basis,
+                          _in_stack(problems[first], alone.value.basis, n))
+    # the stack's x: the LP's columns, its padding at 0, then the slacks
+    x = exc.value.x
+    assert np.array_equal(x[:k], alone.value.x[:k]) and not x[k:n].any()
+    assert np.array_equal(x[n:], alone.value.x[k:])
+
+
 def test_stack_names_the_lp_whose_start_basis_fails():
     rng = np.random.default_rng(53)
     problems = [_slack_feasible_lp(rng, 4, 3) for _ in range(3)]
