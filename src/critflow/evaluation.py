@@ -7,11 +7,15 @@ Three metrics per (traffic matrix, method):
 
 ECMP is modeled as the empty selection so every method flows through the
 same rerouting path. Policy selection at evaluation time is greedy: the K
-highest-probability actions.
+highest-probability actions. eval_suite reroutes every method of one
+matrix together: one solve_rerouting_batch stack per selection size, in
+which each LP keeps the bits it has when solved alone, so each record
+equals that method's eval_one.
 
 eval_suite can also time each matrix: one EvalTiming per oracle (the
-all-flows optimum, and the delay optimum when delay is on) and one per
-method (its selection, rerouting and metrics), for `timings.csv`.
+all-flows optimum, and the delay optimum when delay is on), one per
+method (its selection alone), then one "rerouting" (the shared stack and
+every method's metrics), for `timings.csv`.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ import numpy as np
 from .ecmp import compute_ecmp_fractions, ecmp_link_loads
 from .policy import forward
 from .rerouting import solve_delay_optimal, solve_optimal_all_flows, \
-    solve_rerouting, evaluate_delay
-from .selectors import SelectionResult, random_k, top_k, top_k_critical
+    solve_rerouting_batch, evaluate_delay
+# No longer called here, but kept as a name of this module: the
+# benchmark's tracer (bench/tracing.py) wraps it here.
+from .rerouting import solve_rerouting  # noqa: F401
+from .selectors import SelectionResult, check_k, random_k, top_k, top_k_critical
 from .topology import flow_of_index
 
 METHODS = ("ecmp", "policy", "top_k", "top_k_critical", "random")
@@ -55,7 +62,7 @@ class EvalRecord:
 @dataclass
 class EvalTiming:
     tm_id: str
-    part: str      # "optimum", "delay_optimum" or a method name
+    part: str      # "optimum", "delay_optimum", a method name or "rerouting"
     ms: float
 
 
@@ -69,42 +76,66 @@ def _ratio(optimal, achieved):
 
 def policy_selection(params, tm, k):
     """Greedy evaluation-time selection: top-k probabilities, ties by id."""
+    check_k(k, tm.n * (tm.n - 1))
     dist = forward(params, tm)
     order = np.lexsort((np.arange(dist.probs.shape[0]), -dist.probs))
     flows = tuple(flow_of_index(int(a), tm.n) for a in order[:k])
     return SelectionResult(flows=flows, method="policy")
 
 
+def _records(topo, tm, selections, fractions, include_delay, u_optimal,
+             delay_optimal):
+    """One EvalRecord per selection on one matrix, in selection order.
+
+    Every selection's rerouting LP goes into one solve_rerouting_batch
+    call per selection size; ECMP's empty selection needs no LP. The
+    rerouting solution minimizes max utilization; the delay proxy is
+    evaluated on the loads it produces. The oracle values are given.
+    """
+    by_size = {}
+    for i, sel in enumerate(selections):
+        by_size.setdefault(len(sel.flows), []).append(i)
+    sols = [None] * len(selections)
+    for idx in by_size.values():
+        flows = [selections[i].flows for i in idx]
+        backgrounds = [ecmp_link_loads(topo, tm, fractions, exclude=f) for f in flows]
+        for i, sol in zip(idx, solve_rerouting_batch(topo, [tm] * len(idx), flows,
+                                                     backgrounds)):
+            sols[i] = sol
+    total = tm.total_demand()
+    records = []
+    for selection, sol in zip(selections, sols):
+        rerouted = sum(tm.demand[s, d] for s, d in selection.flows)
+        record = EvalRecord(
+            tm_id=tm.id, method=selection.method,
+            u_method=sol.u, u_optimal=u_optimal,
+            pr_u=_ratio(u_optimal, sol.u),
+            rd=(rerouted / total) if total > 0 else 0.0)
+        if include_delay:
+            record.omega_method = evaluate_delay(topo, sol.link_loads)
+            record.omega_optimal = delay_optimal
+            record.pr_omega = _ratio(delay_optimal, record.omega_method)
+        records.append(record)
+    return records
+
+
 def eval_one(topo, tm, selection, fractions=None, include_delay=True,
              u_optimal=None, delay_optimal=None):
-    """Metrics for one selection on one matrix.
+    """Metrics for one selection on one matrix: eval_suite's records for
+    a single method.
 
-    The rerouting solution still minimizes max utilization; the delay
-    proxy is evaluated on the loads that solution produces. Precomputed
-    oracle values can be passed to avoid re-solving across methods; the
-    all-flows optimum is solved at most once either way.
+    Precomputed oracle values can be passed to avoid re-solving across
+    methods; the all-flows optimum is solved at most once either way.
     """
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
-    background = ecmp_link_loads(topo, tm, fractions, exclude=selection.flows)
-    sol = solve_rerouting(topo, tm, selection.flows, background)
     start = None
     if u_optimal is None:
         u_optimal, start = solve_optimal_all_flows(topo, tm)
-    total = tm.total_demand()
-    rerouted = sum(tm.demand[s, d] for s, d in selection.flows)
-    record = EvalRecord(
-        tm_id=tm.id, method=selection.method,
-        u_method=sol.u, u_optimal=u_optimal,
-        pr_u=_ratio(u_optimal, sol.u),
-        rd=(rerouted / total) if total > 0 else 0.0)
-    if include_delay:
-        if delay_optimal is None:
-            delay_optimal, _ = solve_delay_optimal(topo, tm, start=start)
-        record.omega_method = evaluate_delay(topo, sol.link_loads)
-        record.omega_optimal = delay_optimal
-        record.pr_omega = _ratio(delay_optimal, record.omega_method)
-    return record
+    if include_delay and delay_optimal is None:
+        delay_optimal, _ = solve_delay_optimal(topo, tm, start=start)
+    return _records(topo, tm, [selection], fractions, include_delay,
+                    u_optimal, delay_optimal)[0]
 
 
 def select(method, topo, tm, k, params=None, fractions=None, seed=0):
@@ -130,8 +161,12 @@ def eval_suite(topo, matrices, methods, k, params=None, include_delay=True,
 
     Returns (records, aggregates) where aggregates maps
     (method, metric) -> (mean, std). When `timings` is a list, one
-    EvalTiming per oracle and per method of each matrix is appended to it.
+    EvalTiming per oracle, per method and for the rerouting of each matrix
+    is appended to it. An unknown method raises before anything is solved.
     """
+    for method in methods:
+        if method not in METHODS:
+            raise EvaluationError(f"unknown method {method!r}")
     if "policy" in methods and params is None:
         raise EvaluationError("policy method requires trained parameters")
     fractions = compute_ecmp_fractions(topo)
@@ -150,14 +185,16 @@ def eval_suite(topo, matrices, methods, k, params=None, include_delay=True,
             began = time.perf_counter()
             d_opt = solve_delay_optimal(topo, tm, start=optimum)[0]
             timed(tm, "delay_optimum", began)
+        selections = []
         for method in methods:
             began = time.perf_counter()
-            selection = select(method, topo, tm, k, params=params,
-                               fractions=fractions, seed=seed)
-            records.append(eval_one(topo, tm, selection, fractions=fractions,
-                                    include_delay=include_delay,
-                                    u_optimal=u_opt, delay_optimal=d_opt))
+            selections.append(select(method, topo, tm, k, params=params,
+                                     fractions=fractions, seed=seed))
             timed(tm, method, began)
+        began = time.perf_counter()
+        records += _records(topo, tm, selections, fractions, include_delay,
+                            u_opt, d_opt)
+        timed(tm, "rerouting", began)
     return records, aggregate(records)
 
 

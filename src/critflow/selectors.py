@@ -1,7 +1,8 @@
 """Critical-flow selectors: demand heuristics, random control, brute force.
 
 All selectors return exactly k distinct flows with deterministic
-tie-breaking (ascending flow id), so runs are reproducible. The demand
+tie-breaking (ascending flow id), so runs are reproducible; a k below 0
+or above the flow count raises SelectionError. The demand
 heuristics are sorts: top_k by demand, top_k_critical by the most
 congested ECMP link each flow crosses, then by demand.
 """
@@ -47,6 +48,14 @@ class SelectionResult:
         return tuple(flow_index(s, d, n) for s, d in self.flows)
 
 
+def check_k(k, n_flows):
+    """SelectionError unless 0 <= k <= n_flows."""
+    if k < 0:
+        raise SelectionError(f"k={k} is negative")
+    if k > n_flows:
+        raise SelectionError(f"k={k} exceeds flow count {n_flows}")
+
+
 def _ranked_by_demand(tm):
     """All flows ordered by descending demand, flow-id ascending on ties."""
     n = tm.n
@@ -57,9 +66,8 @@ def _ranked_by_demand(tm):
 
 def top_k(tm, k):
     """The k largest flows by demand volume."""
+    check_k(k, tm.n * (tm.n - 1))
     ranked = _ranked_by_demand(tm)
-    if k > len(ranked):
-        raise SelectionError(f"k={k} exceeds flow count {len(ranked)}")
     return SelectionResult(flows=tuple(ranked[:k]), method="top_k")
 
 
@@ -75,8 +83,7 @@ def top_k_critical(topo, tm, k, fractions=None):
     to 1), so the walk never runs out of flows.
     """
     n = tm.n
-    if k > n * (n - 1):
-        raise SelectionError(f"k={k} exceeds flow count {n * (n - 1)}")
+    check_k(k, n * (n - 1))
     if fractions is None:
         fractions = compute_ecmp_fractions(topo)
     util = ecmp_link_loads(topo, tm, fractions).load / topo.capacity
@@ -94,8 +101,7 @@ def top_k_critical(topo, tm, k, fractions=None):
 def random_k(n, k, seed):
     """Uniform without-replacement sample of k flow ids of an n-node net."""
     n_flows = n * (n - 1)
-    if k > n_flows:
-        raise SelectionError(f"k={k} exceeds flow count {n_flows}")
+    check_k(k, n_flows)
     rng = np.random.default_rng(seed)
     ids = rng.choice(n_flows, size=k, replace=False)
     flows = tuple(flow_of_index(int(a), n) for a in sorted(ids))
@@ -113,8 +119,7 @@ def brute_force_best(topo, tm, k, fractions=None):
     """
     n = tm.n
     n_flows = n * (n - 1)
-    if k > n_flows:
-        raise SelectionError(f"k={k} exceeds flow count {n_flows}")
+    check_k(k, n_flows)
     total = comb(n_flows, k)
     if total > COMBINATION_CAP:
         raise SelectionError(

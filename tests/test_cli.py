@@ -101,10 +101,11 @@ def test_eval_writes_timings_apart_from_results(tmp_path, ring5_file):
     parts = [row.split(",") for row in rows[1:]]
     tm_ids = list(dict.fromkeys(r.split(",")[0] for r in results[1:]))
     assert len(tm_ids) >= 1
-    # per matrix: the two oracles, then each method
+    # per matrix: the two oracles, each method's selection, then the
+    # methods' shared rerouting
     assert [(tm, part) for tm, part, _ in parts] == [
         (tm, part) for tm in tm_ids
-        for part in ("optimum", "delay_optimum", "ecmp", "top_k")]
+        for part in ("optimum", "delay_optimum", "ecmp", "top_k", "rerouting")]
     assert all(float(ms) >= 0 for _, _, ms in parts)
 
 

@@ -127,7 +127,8 @@ def test_eval_suite_times_oracles_apart_from_methods(ring5, ring5_tms, tmp_path)
                                include_delay=False, timings=timings)
     # without delay there is no delay oracle to time
     assert [(t.tm_id, t.part) for t in timings] == [
-        (tm.id, part) for tm in ring5_tms[:2] for part in ("optimum", "ecmp", "top_k")]
+        (tm.id, part) for tm in ring5_tms[:2]
+        for part in ("optimum", "ecmp", "top_k", "rerouting")]
     assert all(t.ms >= 0 for t in timings)
     path = tmp_path / "timings.csv"
     cf.write_timings_csv(timings, path)
@@ -187,3 +188,56 @@ def test_eval_suite_solves_optimum_once_per_matrix(ring5, ring5_tms, monkeypatch
     cf.eval_suite(ring5, ring5_tms[:3], ["ecmp", "top_k", "random"], 2,
                   include_delay=True)
     assert calls == [tm.id for tm in ring5_tms[:3]]
+
+
+def test_eval_suite_rejects_unknown_method_before_solving(ring5, ring5_tms,
+                                                          monkeypatch):
+    calls = count_optimum_calls(monkeypatch)
+    with pytest.raises(cf.EvaluationError, match="unknown method 'bogus'"):
+        cf.eval_suite(ring5, ring5_tms[:2], ["ecmp", "bogus"], 2)
+    assert calls == []
+
+
+def record_bits(record):
+    """Every field of an EvalRecord, its floats as float.hex."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in vars(record).values())
+
+
+@pytest.mark.parametrize("topo, k", [(cf.ring_with_chords(), 3),
+                                     (cf.random_topology(8, 6, seed=3), 6)],
+                         ids=["ring5", "random8"])
+def test_eval_suite_records_equal_eval_one_bit_for_bit(topo, k):
+    """The methods of one matrix share one rerouting stack, and each record
+    keeps the bits of that method evaluated alone."""
+    tms = cf.generate_tms(topo, "exponential", 3, 0.9, seed=17)
+    params = cf.init_params(topo.node_count, width=16, seed=4)
+    fr = cf.compute_ecmp_fractions(topo)
+    records, _ = cf.eval_suite(topo, tms, critflow.evaluation.METHODS, k, params=params,
+                               include_delay=True, seed=9)
+    alone = []
+    for tm in tms:
+        u_opt, optimum = cf.solve_optimal_all_flows(topo, tm)
+        omega_opt, _ = cf.solve_delay_optimal(topo, tm, start=optimum)
+        for method in critflow.evaluation.METHODS:
+            sel = cf.select(method, topo, tm, k, params=params, fractions=fr, seed=9)
+            alone.append(cf.eval_one(topo, tm, sel, fractions=fr, include_delay=True,
+                                     u_optimal=u_opt, delay_optimal=omega_opt))
+    assert [record_bits(r) for r in records] == [record_bits(r) for r in alone]
+    assert all(r.omega_method is not None for r in records)
+
+
+def test_eval_suite_stacks_each_matrix_methods_once(ring5, ring5_tms, monkeypatch):
+    stacks = []
+    original = critflow.evaluation.solve_rerouting_batch
+
+    def counted(topo, tms, criticals, backgrounds):
+        stacks.append(([tm.id for tm in tms], [len(c) for c in criticals]))
+        return original(topo, tms, criticals, backgrounds)
+
+    monkeypatch.setattr(critflow.evaluation, "solve_rerouting_batch", counted)
+    params = cf.init_params(5, width=8, seed=0)
+    cf.eval_suite(ring5, ring5_tms[:3], critflow.evaluation.METHODS, 2, params=params,
+                  include_delay=False)
+    rerouted = [s for s in stacks if s[1] != [0]]
+    assert rerouted == [([tm.id] * 4, [2] * 4) for tm in ring5_tms[:3]]

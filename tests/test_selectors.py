@@ -184,3 +184,17 @@ def test_invalid_k_rejected(ring5):
         cf.top_k(tm, 21)
     with pytest.raises(cf.SelectionError):
         cf.random_k(5, 21, seed=0)
+
+
+def test_negative_k_rejected(ring5):
+    tm = cf.generate_tms(ring5, "uniform", 1, 0.9, seed=0)[0]
+    params = cf.zero_params(5, width=8)
+    for select in (lambda: cf.top_k(tm, -1),
+                   lambda: cf.top_k_critical(ring5, tm, -1),
+                   lambda: cf.random_k(5, -1, seed=0),
+                   lambda: cf.policy_selection(params, tm, -1),
+                   lambda: cf.brute_force_best(ring5, tm, -1)):
+        with pytest.raises(cf.SelectionError, match="k=-1 is negative"):
+            select()
+    with pytest.raises(cf.SelectionError, match="k=21 exceeds flow count 20"):
+        cf.policy_selection(params, tm, 21)
