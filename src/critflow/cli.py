@@ -227,10 +227,9 @@ def _dataset(opts, topo):
     return traffic.split_dataset(matrices, opts["train_fraction"], opts["seed"])
 
 
-def _trainer_config(opts, k, iterations=None):
+def _trainer_config(opts, k):
     return training.TrainerConfig(
-        batch_size=opts["batch_size"], k=k,
-        total_iterations=iterations or opts["iterations"],
+        batch_size=opts["batch_size"], k=k, total_iterations=opts["iterations"],
         alpha0=opts["alpha0"], decay_every=opts["decay_every"],
         decay_base=opts["decay_base"], alpha_min=opts["alpha_min"],
         beta=opts["beta"], width=opts["width"], seed=opts["seed"])

@@ -234,13 +234,13 @@ def write_results_csv(records, path):
                         for f in RESULT_FIELDS])
 
 
-def write_cdf_csv(records, path, metrics=("pr_u", "pr_omega", "rd")):
+def write_cdf_csv(records, path):
     methods = sorted({r.method for r in records})
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "metric", "x", "cdf"])
         for method in methods:
-            for metric in metrics:
+            for metric in ("pr_u", "pr_omega", "rd"):
                 xs, fs = empirical_cdf(records, method, metric)
                 for x, f in zip(xs, fs):
                     w.writerow([method, metric, repr(float(x)), repr(float(f))])

@@ -385,11 +385,16 @@ def save_checkpoint(path, params, iteration=0, baseline_v=None, baseline_n=None)
 
 
 def load_checkpoint(path):
-    """Returns (params, iteration, baseline_v, baseline_n)."""
+    """Returns (params, iteration, baseline_v, baseline_n). A checkpoint
+    of another version or another leaky slope than LEAKY_SLOPE raises
+    PolicyError."""
     with np.load(path) as z:
         version = int(z["format_version"])
         if version != CHECKPOINT_VERSION:
             raise PolicyError(f"unsupported checkpoint version {version}")
+        slope = float(z["leaky_slope"])
+        if slope != LEAKY_SLOPE:
+            raise PolicyError(f"checkpoint leaky_slope {slope!r}, expected {LEAKY_SLOPE!r}")
         n, width = int(z["n"]), int(z["width"])
         shapes = _param_shapes(n, width)
         tensors = [z[name] for name in shapes]

@@ -153,8 +153,8 @@ def build_path_lp(topo, tm, background_load, columns):
                         np.ones(k)])
     c = np.zeros(1 + len(cols))
     c[0] = 1.0
-    return LpProblem(c=c, a=np.hstack([u_col, rows.T]),
-                     rel=["<="] * m + ["="] * k, b=b, var_names=names)
+    return LpProblem(c=c, a=np.hstack([u_col, rows.T]), b=b, n_inequalities=m,
+                     var_names=names)
 
 
 def _check_flows(flows):
@@ -227,7 +227,6 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
     bg = np.array(bgs)
     basis, binv = _crash_start(topo, demand, seeds, bg, store[:, 1:k + 1, :m])
     rhs = np.concatenate([-bg / topo.capacity, np.ones((size, k))], axis=1)
-    rel = ["<="] * m + ["="] * k
     width = np.full(size, 1 + k)
     lp_of = np.arange(size)  # each stack LP's batch position, for its inputs
     done = [None] * size
@@ -239,7 +238,8 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
         cost = np.zeros((lp_of.size, n))
         cost[:, 0] = 1.0
         # a view of the column store: the next round's columns write to it
-        problem = LpProblem(c=cost, a=store[:, :n].transpose(0, 2, 1), rel=rel, b=rhs[lp_of])
+        problem = LpProblem(c=cost, a=store[:, :n].transpose(0, 2, 1), b=rhs[lp_of],
+                            n_inequalities=m)
         sol = solve_lp(problem, basis=basis, binv=binv)
         for lp, pivots in zip(lp_of.tolist(), sol.pivots.tolist()):
             round_pivots[lp].append(pivots)

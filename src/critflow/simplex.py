@@ -1,11 +1,14 @@
 """Dense revised simplex for small/medium LPs, one LP or a stack of them.
 
-The problem form is the one the path LP has:
+The problem form is the one the path LP has, and the only one LpProblem
+holds:
 
     minimize    c @ x
-    subject to  A x <= b   on the leading rows
+    subject to  A x <= b   on the first n_inequalities rows
                 A x  = b   on the rows after them
                 x >= 0
+
+with at least one row and one column.
 
 Every solve starts from a primal feasible basis the caller gives (a
 crash basis, or the last solve's basis after columns were added, as
@@ -17,8 +20,8 @@ degenerate pivots the solver permanently falls back to Bland's rule,
 which cannot cycle. Everything is deterministic: ties break toward the
 smallest variable index.
 
-A problem may carry a leading stack axis: B LPs of one shape and one set
-of row relations, with c (B, n), A (B, m, n) and b (B, m). One pivot
+A problem may carry a leading stack axis: B LPs of one shape and one
+count of '<=' rows, with c (B, n), A (B, m, n) and b (B, m). One pivot
 loop pivots every LP of a stack at once, each by its own rules, and an
 LP leaves the loop once it is optimal; a single LP is a stack of one.
 LPs with fewer columns are padded after their real columns with zero
@@ -75,35 +78,32 @@ class LpIterationLimitError(LpError):
 
 @dataclass
 class LpProblem:
+    """min c @ x over A x <= b on the first n_inequalities rows, A x = b
+    on the rest, x >= 0: the one form solve_lp solves. A stack of B LPs
+    has c (B, n), A (B, m, n) and b (B, m) and one n_inequalities for all.
+    Raises ValueError for an A that is neither 2-D nor 3-D, an LP (or a
+    stack) with no rows, columns or LPs, c or b not matching A, or a
+    count outside [0, m]."""
+
     c: np.ndarray                 # (n,) objective, minimized; (B, n) in a stack
     a: np.ndarray                 # (m, n); (B, m, n) in a stack
-    rel: list[str]                # per row: '<=' rows, then '=' rows; shared by a stack
     b: np.ndarray                 # (m,); (B, m) in a stack
+    n_inequalities: int           # the leading '<=' rows; the rest are '='
     var_names: list[str] = None   # optional, for text dumps
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
-        if self.a.ndim < 2:
-            self.a = np.atleast_2d(self.a)
-        if self.a.ndim > 3 or (self.a.ndim == 3 and not self.a.shape[0]):
-            raise ValueError(f"A of shape {self.a.shape}: a stack holds at least one "
-                             f"(m, n) LP")
-        lead = self.a.shape[:-2]
-        self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        n, m = self.c.shape[-1], self.b.shape[-1]
-        if self.a.shape != (*lead, m, n):
-            raise ValueError(f"A shape {self.a.shape} != {(*lead, m, n)}")
+        if self.a.ndim not in (2, 3) or not all(self.a.shape):
+            raise ValueError(f"A of shape {self.a.shape}: an LP has rows and columns, "
+                             f"and a stack at least one (m, n) LP")
+        lead, (m, n) = self.a.shape[:-2], self.a.shape[-2:]
+        self.c = np.asarray(self.c, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
         if self.c.shape != (*lead, n) or self.b.shape != (*lead, m):
             raise ValueError(f"c {self.c.shape} or b {self.b.shape} does not match A "
                              f"{self.a.shape}")
-        if len(self.rel) != m:
-            raise ValueError("one relation per row required")
-        bad = set(self.rel) - {"<=", "="}
-        if bad:
-            raise ValueError(f"bad relation {bad.pop()!r}: a row is '<=' or '='")
-        if "<=" in self.rel[self.n_inequalities:]:
-            raise ValueError("the '<=' rows must come before the '=' rows")
+        if not 0 <= self.n_inequalities <= m:
+            raise ValueError(f"{self.n_inequalities} '<=' rows of {m}")
 
     @property
     def n_vars(self):
@@ -112,11 +112,6 @@ class LpProblem:
     @property
     def n_rows(self):
         return self.b.shape[-1]
-
-    @property
-    def n_inequalities(self):
-        """The number of '<=' rows, which lead."""
-        return self.rel.count("<=")
 
     @property
     def stack(self):
@@ -209,7 +204,8 @@ def solve_lp(problem, basis, binv=None, max_iters=None):
         lp, row = np.argwhere(violation > feas_tol[:, None])[0]
         raise LpError(f"solution violates row {row} by {resid[lp, row]:.3e}"
                       + (f" in LP {lp} of the stack" if stacked else ""))
-    sol = LpSolution(x=x, objective=_sequential_sums(c * x),
+    # summed left to right: a stack's zero padding columns leave every bit
+    sol = LpSolution(x=x, objective=np.cumsum(c * x, axis=1)[:, -1],
                      iterations=int(pivots.sum()), pivots=pivots,
                      duals=np.vecmat(c2[st.lp, st.basis], st.binv), basis=st.basis,
                      degenerate_pivots=st.degenerate_pivots, used_bland=st.bland,
@@ -231,24 +227,16 @@ def _single(sol):
                       inverted=bool(sol.inverted[0]), binv=sol.binv[0])
 
 
-def _sequential_sums(terms):
-    """Sums over the last axis, left to right: trailing zeros (a stack's
-    padding columns) leave every bit as it was."""
-    if terms.shape[-1] == 0:
-        return np.zeros(terms.shape[:-1])
-    return np.cumsum(terms, axis=-1)[..., -1]
-
-
 def _checked_basis(basis, n, m, n_slack, lead):
     """A copy of the caller's basis, with a stack axis, once its shape
     and column indices are checked."""
     basis = np.asarray(basis)
-    if basis.shape != (*lead, m) or (m and basis.dtype.kind not in "iu"):
+    if basis.shape != (*lead, m) or basis.dtype.kind not in "iu":
         raise ValueError(f"a basis needs one integer column index per row, "
                          f"shape {(*lead, m)}")
-    if basis.min(initial=0) < 0 or basis.max(initial=0) >= n + m:
+    if basis.min() < 0 or basis.max() >= n + m:
         raise ValueError(f"basis index out of range [0, {n + m})")
-    if basis.max(initial=0) >= n + n_slack:
+    if basis.max() >= n + n_slack:
         raise ValueError("an '=' row has no slack to make basic")
     return basis.reshape(*(lead or (1,)), m).astype(int)
 
@@ -301,8 +289,7 @@ class _Stack:
         n = self.n
         if cols.max(initial=0) < n:
             return self.at[lps, cols]
-        out = (self.at[lps, np.minimum(cols, n - 1)] if n
-               else np.zeros((len(cols), self.b.shape[1])))
+        out = self.at[lps, np.minimum(cols, n - 1)]
         k = np.flatnonzero(cols >= n)
         out[k] = 0.0
         out[k, cols[k] - n] = 1.0
@@ -481,7 +468,8 @@ def lp_to_text(problem, name="lp"):
             row.append(term(float(problem.a[i, j]), names[j], lead))
             lead = False
         body = "".join(row) if row else " 0 " + names[0]
-        lines.append(f" c{i}:{body} {problem.rel[i]} {float(problem.b[i])!r}")
+        sense = "<=" if i < problem.n_inequalities else "="
+        lines.append(f" c{i}:{body} {sense} {float(problem.b[i])!r}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -212,13 +212,14 @@ def flow_of_index(a, n):
     return s, (r if r < s else r + 1)
 
 
-def load_topology(path, infer_scale=DEFAULT_CAPACITY_SCALE):
-    """Parse the topology text format. `-` capacities become scale/cost."""
+def load_topology(path):
+    """Parse the topology text format. `-` capacities become
+    DEFAULT_CAPACITY_SCALE / cost."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read(), name=str(path), infer_scale=infer_scale)
+        return parse_topology(fh.read(), name=str(path))
 
 
-def parse_topology(text, name="", infer_scale=DEFAULT_CAPACITY_SCALE):
+def parse_topology(text, name=""):
     n = None
     links = []
     for line_no, raw in enumerate(io.StringIO(text), start=1):
@@ -248,7 +249,7 @@ def parse_topology(text, name="", infer_scale=DEFAULT_CAPACITY_SCALE):
                     if cost <= 0:
                         raise TopologyParseError(
                             "cannot infer capacity from non-positive cost", line_no)
-                    cap = infer_scale / cost
+                    cap = DEFAULT_CAPACITY_SCALE / cost
                 else:
                     cap = float(parts[3])
             except ValueError:

@@ -244,8 +244,11 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
     a checkpoint of the last finite parameters, when a path is given) if
     a forward pass gives non-finite logits or an update would produce
     non-finite values. Steps a copy of `init`, when one is given,
-    and never writes to `init`.
+    and never writes to `init`. A checkpoint_every below 1 raises
+    ValueError before the first iteration.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
     matrices = dataset.matrices
     train_ids = _usable_train_ids(dataset)
     fractions = compute_ecmp_fractions(topo)

@@ -195,7 +195,7 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
     Enumerates every n-subset of {rows as equalities} U {x_j = 0},
     solves, and keeps feasible points. Only for small problems.
     """
-    n = problem.n_vars
+    n, k = problem.n_vars, problem.n_inequalities
     hyperplanes = []
     for i in range(problem.n_rows):
         hyperplanes.append((problem.a[i], problem.b[i]))
@@ -214,14 +214,8 @@ def lp_vertex_enumeration_oracle(problem, tol=1e-9):
             continue
         if np.any(x < -tol):
             continue
-        ax = problem.a @ x
-        ok = True
-        for i, rel in enumerate(problem.rel):
-            r = ax[i] - problem.b[i]
-            if (rel == "<=" and r > tol) or (rel == "=" and abs(r) > tol):
-                ok = False
-                break
-        if ok:
+        r = problem.a @ x - problem.b
+        if np.all(r[:k] <= tol) and np.all(np.abs(r[k:]) <= tol):
             found = True
             best = min(best, float(problem.c @ x))
     if not found:
@@ -243,7 +237,6 @@ def build_rerouting_lp(topo, tm, critical, background_load):
     c[0] = 1.0
 
     rows = []
-    rel = []
     rhs = []
     names = ["U"]
     for fi, (s, d) in enumerate(flows):
@@ -260,7 +253,6 @@ def build_rerouting_lp(topo, tm, critical, background_load):
             row[var(fi, e)] = tm.demand[s, d]
         row[0] = -topo.capacity[e]
         rows.append(row)
-        rel.append("<=")
         rhs.append(-background_load[e])
 
     for fi, (s, d) in enumerate(flows):
@@ -271,10 +263,10 @@ def build_rerouting_lp(topo, tm, critical, background_load):
             for e in topo.out_links[i]:
                 row[var(fi, e)] -= 1.0
             rows.append(row)
-            rel.append("=")
             rhs.append(-1.0 if i == s else (1.0 if i == d else 0.0))
 
-    return LpProblem(c=c, a=np.array(rows), rel=rel, b=np.array(rhs), var_names=names)
+    return LpProblem(c=c, a=np.array(rows), b=np.array(rhs), n_inequalities=m,
+                     var_names=names)
 
 
 def edge_form_u(topo, tm, critical, background_load):
@@ -310,8 +302,7 @@ def build_optimum_lp(topo, tm):
         rhs.append(tm.demand[others, d])
     c = np.zeros(nv)
     c[0] = 1.0
-    return LpProblem(c=c, a=a, rel=["<="] * m + ["="] * (a.shape[0] - m),
-                     b=np.concatenate(rhs))
+    return LpProblem(c=c, a=a, b=np.concatenate(rhs), n_inequalities=m)
 
 
 def destination_form_u(topo, tm):

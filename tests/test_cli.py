@@ -76,6 +76,15 @@ def test_train_writes_artifacts_and_is_reproducible(tmp_path, ring5_file):
         assert np.array_equal(a, b)
 
 
+def test_train_checkpoint_every_below_one_is_runtime_error(tmp_path, ring5_file, capsys):
+    out = tmp_path / "t"
+    rc = run(["train", "--topology", ring5_file, "--tm-count", "4", "--k", "2",
+              "--iterations", "2", "--checkpoint-every", "0", "--out", str(out)])
+    assert rc == 2
+    assert "checkpoint_every must be at least 1, not 0" in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
 def test_eval_ecmp_only_needs_no_checkpoint(tmp_path, ring5_file):
     out = tmp_path / "ev"
     rc = run(["eval", "--topology", ring5_file, "--tm-model", "uniform",
@@ -312,7 +321,8 @@ def test_dump_lp_flag(tmp_path, ring5_file, ring5):
     # the final path LP: one capacity row per link, one convexity row per flow
     rows = text.split("Subject To\n")[1].split("End\n")[0].splitlines()
     assert len(rows) == ring5.link_count + 2
-    assert sum(row.endswith(" = 1.0") for row in rows) == 2
+    assert sum(" <= " in row for row in rows[:ring5.link_count]) == ring5.link_count
+    assert sum(row.endswith(" = 1.0") for row in rows[ring5.link_count:]) == 2
 
 
 def test_resolve_k_rounding():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import critflow as cf
-from critflow.policy import selection_objective
+from critflow.policy import LEAKY_SLOPE, selection_objective
 
 
 def random_tm(n, seed):
@@ -289,6 +289,18 @@ def test_checkpoint_tensor_shapes_checked(tmp_path, cuts, named):
     path = tmp_path / "bad.npz"
     cf.save_checkpoint(path, params)
     with pytest.raises(cf.PolicyError, match=named):
+        cf.load_checkpoint(path)
+
+
+def test_checkpoint_leaky_slope_checked(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    cf.save_checkpoint(path, cf.init_params(5, width=8, seed=4))
+    with np.load(path) as z:
+        fields = dict(z)
+    assert fields["leaky_slope"] == LEAKY_SLOPE
+    fields["leaky_slope"] = np.array(0.2)
+    np.savez(path, **fields)
+    with pytest.raises(cf.PolicyError, match="leaky_slope 0.2"):
         cf.load_checkpoint(path)
 
 

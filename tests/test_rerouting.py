@@ -178,7 +178,7 @@ def test_path_lp_shapes(triangle):
     assert problem.c.tolist() == [1.0, 0.0, 0.0, 0.0]  # U alone
     assert problem.a[link[(0, 1)], 3] == 0.9 and problem.a[link[(0, 1)], 1] == 0.0
     assert problem.a[6:, 1:].tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-    assert problem.rel == ["<="] * 6 + ["="] * 2
+    assert problem.n_inequalities == 6
 
 
 def test_solution_pools_rebuild_the_last_lp(ring5, monkeypatch):
@@ -625,7 +625,7 @@ def test_appended_lp_equals_built_lp(monkeypatch):
             assert np.array_equal(stack.c[at, :n], built.c)
             assert np.array_equal(stack.a[at, :, :n], built.a)
             assert np.array_equal(stack.b[at], built.b)
-            assert stack.rel == built.rel
+            assert stack.n_inequalities == built.n_inequalities
             assert not np.concatenate([stack.c[at, n:], stack.a[at, :, n:].ravel()]).any()
             assert final.objective == sol.objective
 

@@ -8,7 +8,7 @@ from oracles import lp_vertex_enumeration_oracle
 
 def test_single_variable_max():
     # max x s.t. x <= 3 as min -x, from the slack basis
-    p = cf.LpProblem(c=[-1.0], a=[[1.0]], rel=["<="], b=[3.0])
+    p = cf.LpProblem(c=[-1.0], a=[[1.0]], b=[3.0], n_inequalities=1)
     s = cf.solve_lp(p, basis=[1])
     assert s.x[0] == pytest.approx(3.0, abs=1e-9)
     assert s.objective == pytest.approx(-3.0, abs=1e-9)
@@ -17,7 +17,7 @@ def test_single_variable_max():
 def test_degenerate_optimum_face():
     # min -x-y s.t. x+y <= 2, x <= 2, y <= 2: any optimal vertex gives -2
     p = cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-                     rel=["<="] * 3, b=[2.0, 2.0, 2.0])
+                     b=[2.0, 2.0, 2.0], n_inequalities=3)
     s = cf.solve_lp(p, basis=[2, 3, 4])
     assert s.objective == pytest.approx(-2.0, abs=1e-9)
     assert s.x.sum() == pytest.approx(2.0, abs=1e-9)
@@ -38,8 +38,7 @@ def _planted_lp(rng, n, n_le, n_eq):
         if abs(np.linalg.det(full[:, basis])) > 1e-2:
             break
     b = full[:, basis] @ rng.uniform(0.1, 1.0, m)
-    return (cf.LpProblem(c=rng.uniform(-1, 1, n), a=a, rel=["<="] * n_le + ["="] * n_eq,
-                         b=b), basis)
+    return cf.LpProblem(c=rng.uniform(-1, 1, n), a=a, b=b, n_inequalities=n_le), basis
 
 
 def _random_planted_lp(rng):
@@ -55,19 +54,19 @@ def test_random_lps_match_vertex_enumeration():
         got = cf.solve_lp(p, basis=basis).objective
         want = lp_vertex_enumeration_oracle(p)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-8), f"trial {trial}"
-        equality_rows += p.rel.count("=")
+        equality_rows += p.n_rows - p.n_inequalities
     assert equality_rows >= 10
 
 
 def test_unbounded_detected():
-    p = cf.LpProblem(c=[-1.0, 0.0], a=[[0.0, 1.0]], rel=["<="], b=[1.0])
+    p = cf.LpProblem(c=[-1.0, 0.0], a=[[0.0, 1.0]], b=[1.0], n_inequalities=1)
     with pytest.raises(cf.LpUnboundedError):
         cf.solve_lp(p, basis=[2])
 
 
 def test_iteration_limit_reports_basis():
     p = cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 2.0], [2.0, 1.0]],
-                     rel=["<=", "<="], b=[4.0, 4.0])
+                     b=[4.0, 4.0], n_inequalities=2)
     with pytest.raises(cf.LpIterationLimitError) as exc:
         cf.solve_lp(p, basis=[2, 3], max_iters=1)
     assert exc.value.basis is not None
@@ -75,8 +74,8 @@ def test_iteration_limit_reports_basis():
 
 def test_equality_rows():
     # min x+2y s.t. x <= 4, x+y = 5 -> x=4, y=1, from y basic at 5
-    p = cf.LpProblem(c=[1.0, 2.0], a=[[1.0, 0.0], [1.0, 1.0]], rel=["<=", "="],
-                     b=[4.0, 5.0])
+    p = cf.LpProblem(c=[1.0, 2.0], a=[[1.0, 0.0], [1.0, 1.0]], b=[4.0, 5.0],
+                     n_inequalities=1)
     s = cf.solve_lp(p, basis=[2, 1])
     assert s.x == pytest.approx([4.0, 1.0], abs=1e-9)
     assert s.objective == pytest.approx(6.0, abs=1e-9)
@@ -90,18 +89,26 @@ def test_solver_deterministic():
 
 
 def test_bad_problem_shapes_rejected():
-    with pytest.raises(ValueError):
-        cf.LpProblem(c=[1.0, 1.0], a=[[1.0]], rel=["<="], b=[1.0])
-    with pytest.raises(ValueError):
-        cf.LpProblem(c=[1.0], a=[[1.0]], rel=["<>"], b=[1.0])
-    with pytest.raises(ValueError, match="bad relation '>='"):
-        cf.LpProblem(c=[1.0], a=[[1.0]], rel=[">="], b=[1.0])
-    with pytest.raises(ValueError, match="before the '=' rows"):
-        cf.LpProblem(c=[1.0], a=[[1.0], [1.0]], rel=["=", "<="], b=[1.0, 2.0])
+    with pytest.raises(ValueError, match="does not match A"):
+        cf.LpProblem(c=[1.0, 1.0], a=[[1.0]], b=[1.0], n_inequalities=1)
+    with pytest.raises(ValueError, match="does not match A"):
+        cf.LpProblem(c=[1.0], a=[[1.0]], b=[1.0, 2.0], n_inequalities=1)
+    for count in (-1, 2):  # the '<=' rows of an LP of one row
+        with pytest.raises(ValueError, match=f"{count} '<=' rows of 1"):
+            cf.LpProblem(c=[1.0], a=[[1.0]], b=[1.0], n_inequalities=count)
+    # A is (m, n) or a stack (B, m, n), never promoted from 1-D
+    for a in ([1.0], 1.0, [[[[1.0]]]]):
+        with pytest.raises(ValueError, match="an LP has rows and columns"):
+            cf.LpProblem(c=[1.0], a=a, b=[1.0], n_inequalities=1)
+    # no rows, no columns, a stack of no LPs
+    for c, a, b in (([1.0], np.zeros((0, 1)), []), ([], np.zeros((1, 0)), [1.0]),
+                    (np.zeros((0, 1)), np.zeros((0, 1, 1)), np.zeros((0, 1)))):
+        with pytest.raises(ValueError, match="an LP has rows and columns"):
+            cf.LpProblem(c=c, a=a, b=b, n_inequalities=0)
 
 
 def test_lp_text_dump(tmp_path):
-    p = cf.LpProblem(c=[1.0, 0.5], a=[[1.0, 1.0]], rel=["<="], b=[2.0],
+    p = cf.LpProblem(c=[1.0, 0.5], a=[[1.0, 1.0]], b=[2.0], n_inequalities=1,
                      var_names=["U", "r0"])
     text = cf.lp_to_text(p, name="demo")
     for token in ["Minimize", "Subject To", "End", "U", "r0"]:
@@ -113,7 +120,8 @@ def test_lp_text_dump(tmp_path):
 
 
 def test_lp_text_dump_rejects_a_stack(tmp_path):
-    stack = cf.LpProblem(c=[[1.0], [2.0]], a=[[[1.0]], [[1.0]]], rel=["<="], b=[[1.0], [2.0]])
+    stack = cf.LpProblem(c=[[1.0], [2.0]], a=[[[1.0]], [[1.0]]], b=[[1.0], [2.0]],
+                         n_inequalities=1)
     with pytest.raises(ValueError, match="one LP, not a stack of 2"):
         cf.lp_to_text(stack)
     with pytest.raises(ValueError, match="one LP"):
@@ -176,7 +184,7 @@ def test_singular_basis_raises():
     # columns 0 and 1 are parallel in exact arithmetic but not in floating
     # point (0.1 * 3 != 0.3), so B may invert to garbage without an error
     p = cf.LpProblem(c=[-1.0, -2.0, -1.0], a=[[0.1, 0.3, 1.0], [0.3, 0.9, 0.0]],
-                     rel=["<=", "<="], b=[1.0, 3.0])
+                     b=[1.0, 3.0], n_inequalities=2)
     assert cf.solve_lp(p, basis=[3, 4]).objective == pytest.approx(-10.0, abs=1e-12)
     with pytest.raises(cf.LpError, match="the start basis is singular"):
         cf.solve_lp(p, basis=[0, 1])
@@ -203,8 +211,8 @@ def test_infeasible_basis_raises():
 
 
 def test_malformed_basis_rejected():
-    p = cf.LpProblem(c=[1.0, 1.0], a=[[1.0, 1.0], [1.0, -1.0]], rel=["<=", "="],
-                     b=[4.0, 0.0])
+    p = cf.LpProblem(c=[1.0, 1.0], a=[[1.0, 1.0], [1.0, -1.0]], b=[4.0, 0.0],
+                     n_inequalities=1)
     for basis in (None, [0], [0, 1, 2], [0, -1], [0, 4], [2, 3], [0, 3], [0.0, 1.0]):
         with pytest.raises(ValueError):
             cf.solve_lp(p, basis=basis)
@@ -215,7 +223,7 @@ def _tie_lp():
     # min -x - y s.t. x <= 0, 2x <= 0, y <= 1: x enters first with a
     # degenerate tie between the slacks of rows 0 (index 2) and 1 (index 3)
     return cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]],
-                        rel=["<=", "<=", "<="], b=[0.0, 0.0, 1.0])
+                        b=[0.0, 0.0, 1.0], n_inequalities=3)
 
 
 def test_ratio_tie_leaves_smallest_basic_index():
@@ -265,7 +273,7 @@ def _column_chain(seed, m=6, n=24, rounds=4):
     b = rng.uniform(1.0, 2.0, m)
     c = rng.uniform(-1.0, 0.0, n)
     sizes = np.linspace(n // rounds, n, rounds).astype(int)
-    return [cf.LpProblem(c=c[:j], a=a[:, :j], rel=["<="] * m, b=b) for j in sizes]
+    return [cf.LpProblem(c=c[:j], a=a[:, :j], b=b, n_inequalities=m) for j in sizes]
 
 
 @pytest.mark.parametrize("refresh_every", [1, simplex.REFRESH_EVERY])
@@ -297,8 +305,8 @@ def _slack_feasible_lp(rng, n, m, b_low=0.1):
     region is bounded: with b >= 0 the slack basis is feasible."""
     a = rng.uniform(-1, 1, (m, n))
     a[0] = rng.uniform(0.1, 1.0, n)
-    return cf.LpProblem(c=rng.uniform(-1, 1, n), a=a, rel=["<="] * m,
-                        b=rng.uniform(b_low, 1.0, m))
+    return cf.LpProblem(c=rng.uniform(-1, 1, n), a=a, b=rng.uniform(b_low, 1.0, m),
+                        n_inequalities=m)
 
 
 def _stacked(problems):
@@ -311,7 +319,8 @@ def _stacked(problems):
     return cf.LpProblem(c=[pad(p.c) for p in problems],
                         a=[np.hstack([p.a, np.zeros((p.n_rows, n - p.n_vars))])
                            for p in problems],
-                        rel=problems[0].rel, b=[p.b for p in problems])
+                        b=[p.b for p in problems],
+                        n_inequalities=problems[0].n_inequalities)
 
 
 def _in_stack(p, basis, n):
@@ -371,7 +380,7 @@ def test_stack_keeps_bland_and_refresh_per_lp(monkeypatch):
     # turns Bland's rule on for this LP alone
     problems.append(cf.LpProblem(c=[-1.0, -1.0], a=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0],
                                                     [0.0, 0.0]],
-                                 rel=["<="] * 4, b=[0.0, 0.0, 1.0, 1.0]))
+                                 b=[0.0, 0.0, 1.0, 1.0], n_inequalities=4))
     bases.append([2, 3, 4, 5])
     monkeypatch.setattr(simplex, "REFRESH_EVERY", 2)
     monkeypatch.setattr(simplex, "BLAND_AFTER_DEGENERATE", 1)

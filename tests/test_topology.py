@@ -110,8 +110,7 @@ def test_inference_rejects_bad_scale():
 
 
 def test_dash_capacity_in_file_infers():
-    topo = cf.parse_topology(
-        "nodes 2\nlink 0 1 - 2\nlink 1 0 - 4\n", infer_scale=1000.0)
+    topo = cf.parse_topology("nodes 2\nlink 0 1 - 2\nlink 1 0 - 4\n")
     assert topo.links[0].capacity == 500.0
     assert topo.links[1].capacity == 250.0
 

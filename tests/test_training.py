@@ -88,6 +88,16 @@ def test_actor_count_other_than_one_rejected():
             cf.TrainerConfig(actor_count=count)
 
 
+@pytest.mark.parametrize("every", [0, -5])
+def test_checkpoint_every_below_one_rejected(tiny_instance, tmp_path, every):
+    topo, dataset = tiny_instance
+    ckpt = tmp_path / "c.npz"
+    with pytest.raises(ValueError, match=f"checkpoint_every must be at least 1, not {every}"):
+        cf.train(topo, dataset, tiny_config(total_iterations=2, batch_size=2),
+                 checkpoint_path=ckpt, checkpoint_every=every)
+    assert not ckpt.exists()
+
+
 def test_first_visit_baseline_zero(tiny_instance):
     topo, dataset = tiny_instance
     config = tiny_config(total_iterations=1, batch_size=8)
