@@ -5,8 +5,8 @@ inspect-topology. Each takes only the flags it reads. Every flag has a
 config-file twin (flat key=value, dashes as underscores), and a config
 file may set the flags of every subcommand, so one file can drive them
 all; command-line values win. The effective configuration is echoed
-into the output directory so any run can be reproduced from its
-artifacts plus the seed.
+into the output directory, made only once every setting has been
+accepted, so any run can be reproduced from its artifacts plus the seed.
 
 Exit codes: 0 success, 1 usage error, 2 runtime/solver error.
 """
@@ -263,11 +263,11 @@ def cmd_inspect_topology(opts):
 
 def cmd_generate_tm(opts):
     topo = _load_topology(opts)
-    out_dir = opts["out"]
-    _echo_config(opts, out_dir)
     tms = traffic.generate_tms(topo, opts["tm_model"], opts["tm_count"],
                                target_ecmp_util=opts["tm_target_util"],
                                seed=opts["seed"])
+    out_dir = opts["out"]
+    _echo_config(opts, out_dir)
     path = opts.get("out_file") or os.path.join(out_dir, "tms.txt")
     traffic.save_tms(tms, path)
     print(f"wrote {len(tms)} matrices to {path}")
@@ -278,9 +278,10 @@ def cmd_train(opts):
     topo = _load_topology(opts)
     dataset = _dataset(opts, topo)
     k = resolve_k(opts, topo.node_count)
+    config = _trainer_config(opts, k)
+    training.check_checkpoint_every(opts["checkpoint_every"])
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
-    config = _trainer_config(opts, k)
     ckpt = os.path.join(out_dir, "checkpoint.npz")
     _maybe_dump_lp(opts, topo, dataset.train[0], k)
     _, log = training.train(topo, dataset, config, checkpoint_path=ckpt,
@@ -296,14 +297,14 @@ def cmd_eval(opts):
     topo = _load_topology(opts)
     dataset = _dataset(opts, topo)
     k = resolve_k(opts, topo.node_count)
-    out_dir = opts["out"]
-    _echo_config(opts, out_dir)
     methods = opts["methods"]
     params = None
     if "policy" in methods:
         if not opts.get("checkpoint"):
             raise UsageError("eval with the policy method requires --checkpoint")
         params, _, _, _ = load_checkpoint(opts["checkpoint"])
+    out_dir = opts["out"]
+    _echo_config(opts, out_dir)
     test = dataset.test
     _maybe_dump_lp(opts, topo, test[0], k)
     timings = []
@@ -321,14 +322,14 @@ def cmd_eval(opts):
 def cmd_sweep_k(opts):
     topo = _load_topology(opts)
     dataset = _dataset(opts, topo)
+    params = None
+    if opts.get("checkpoint"):
+        params, _, _, _ = load_checkpoint(opts["checkpoint"])
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
     n = topo.node_count
     n_flows = n * (n - 1)
     selector = opts["selector"]
-    params = None
-    if opts.get("checkpoint"):
-        params, _, _, _ = load_checkpoint(opts["checkpoint"])
     test = dataset.test
     fr = compute_ecmp_fractions(topo)
     u_opts = [rerouting.solve_optimal_all_flows(topo, tm)[0] for tm in test]
@@ -373,22 +374,22 @@ def cmd_sweep_hyper(opts):
     topo = _load_topology(opts)
     dataset = _dataset(opts, topo)
     k = resolve_k(opts, topo.node_count)
+    configs = [_trainer_config(dict(opts, alpha0=alpha, width=width, beta=beta,
+                                    alpha_min=min(opts["alpha_min"], alpha)), k)
+               for alpha in opts["alphas"] for width in opts["widths"]
+               for beta in opts["betas"]]
     out_dir = opts["out"]
     _echo_config(opts, out_dir)
     rows = []
-    for alpha in opts["alphas"]:
-        for width in opts["widths"]:
-            for beta in opts["betas"]:
-                cell = dict(opts, alpha0=alpha, width=width, beta=beta,
-                            alpha_min=min(opts["alpha_min"], alpha))
-                config = _trainer_config(cell, k)
-                params, _ = training.train(topo, dataset, config)
-                records, agg = evaluation.eval_suite(
-                    topo, dataset.test, ["policy"], k, params=params,
-                    include_delay=False, seed=opts["seed"])
-                pr = agg[("policy", "pr_u")][0]
-                rows.append((alpha, width, beta, pr))
-                print(f"alpha={alpha} width={width} beta={beta}: mean pr_u {pr:.4f}")
+    for config in configs:
+        alpha, width, beta = config.alpha0, config.width, config.beta
+        params, _ = training.train(topo, dataset, config)
+        records, agg = evaluation.eval_suite(
+            topo, dataset.test, ["policy"], k, params=params,
+            include_delay=False, seed=opts["seed"])
+        pr = agg[("policy", "pr_u")][0]
+        rows.append((alpha, width, beta, pr))
+        print(f"alpha={alpha} width={width} beta={beta}: mean pr_u {pr:.4f}")
     path = os.path.join(out_dir, "sweep_hyper.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha0,width,beta,mean_pr_u\n")

@@ -55,10 +55,6 @@ class PolicyParams:
     fc2_w: np.ndarray    # (width, n*(n-1))
     fc2_b: np.ndarray    # (n*(n-1),)
 
-    @property
-    def n_actions(self):
-        return self.n * (self.n - 1)
-
     def tensors(self):
         """Parameter groups in declared order."""
         return {"conv_w": self.conv_w, "conv_b": self.conv_b,
@@ -180,7 +176,7 @@ def _forward_batch(params, tms):
     z2 = flat @ params.fc1_w                               # (B, width)
     z2 += params.fc1_b
     a2 = _leaky(z2)
-    logits = a2 @ params.fc2_w                             # (B, n_actions)
+    logits = a2 @ params.fc2_w                             # (B, N(N-1))
     logits += params.fc2_b
     if not np.isfinite(logits).all():
         # weights that grew too large overflow a layer: no distribution

@@ -14,12 +14,15 @@ Among routings of equal U the LP prefers none. The capacity rows are in
 utilization units, so their slacks and duals are of order one whatever
 the capacities. The paths are not enumerated: the LP is solved by column
 generation (Ford & Fulkerson 1958). It starts from each flow's min-cost
-path; after every solve, one batched Bellman-Ford pass
-(topology.shortest_path_trees) finds, for all flows at once, a path of
-least reduced cost under each flow's link weights -y_e * d_f /
-capacity_e (y_e <= 0 the capacity row duals), and of those one with the
-fewest hops, so no needless detour joins. A path that prices below zero
-joins the LP. No such path left means the LP over the paths in hand is
+path. Path p of flow f has reduced cost d_f * sum_{e in p} (-y_e /
+capacity_e) - mu_f (y_e <= 0 the capacity row duals, mu_f f's convexity
+row dual), so all of a source's flows share one tree: after every solve,
+one batched Bellman-Ford pass (topology.shortest_path_trees) grows the
+tree from every node under the link weights -y_e / capacity_e, and f
+prices at d_f times its source's distance, less mu_f. Its path in that
+tree is one of least reduced cost, and of those one with the fewest
+hops, so no needless detour joins. A path that prices below zero joins
+the LP. No such path left means the LP over the paths in hand is
 optimal over all paths. A flow's split ratio on a link (`sigma`) is the
 sum of its paths' shares through that link, so it carries no cycle.
 
@@ -27,7 +30,7 @@ Many LPs of one K are solved in lockstep (solve_rerouting_batch; a
 single call is its batch of one): one stack of path LPs, each
 re-optimized from its last basis as columns arrive (Lübbecke &
 Desrosiers 2005). Each round makes one solve_lp call over the LPs still
-pricing and one shortest_path_trees pass over all their flows; an LP
+pricing and one shortest_path_trees pass, one weight row per LP; an LP
 leaves the stack once no path prices below zero. The first round starts
 from a crash basis (Bixby 1992): every flow on its seed path, U at the
 seed routing's max utilization, basic in that link's capacity row, and
@@ -54,10 +57,10 @@ minimizer starts from its path pools and shares. The pools are sparse:
 each path is its link ids plus its pair, so path lengths are an
 np.add.reduceat over hops and loads an np.bincount. Each step works
 under the marginal delays w = c/(c-l)^2 and the curvatures h =
-2c/(c-l)^3. One shortest_path_trees pass per step, from the pairs'
-distinct sources under w, gives every pair's distance, for the duality
-gap, and its shortest-path tree; a pair whose pool lacks a path as
-short as its distance gains its tree's path. Each
+2c/(c-l)^3. One shortest_path_trees pass per step, under the one weight
+row w, gives every pair's distance, for the duality gap, and the tree
+from its source; a pair whose pool lacks a path as short as its
+distance gains its path in that tree. Each
 pair's largest-flow path is its reference and carries the rest of its
 demand; the other paths' flows are the variables. The paths that a
 diagonal Newton step would empty are the epsilon-binding set (Bertsekas
@@ -191,12 +194,13 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
     size K, else ValueError.
 
     Each round solves the LPs still pricing in one solve_lp call, each
-    from its own basis and B^-1, and prices all their flows in one
-    shortest_path_trees pass; an LP leaves the stack once no path prices
-    below zero. Each LP's new columns are appended after its last one in
-    the stack's column store, so the structural part of its basis carries
-    over as it is. Every solution has the bits it has when solved alone.
-    Returns one ReroutingSolution per triple.
+    from its own basis and B^-1, and prices all their flows by one
+    shortest_path_trees pass, one weight row per LP; an LP leaves the
+    stack once no path prices below zero. Each LP's new columns are
+    appended after its last one in the stack's column store, so the
+    structural part of its basis carries over as it is. Every solution
+    has the bits it has when solved alone. Returns one ReroutingSolution
+    per triple.
     """
     bgs = [_load_vector(bg) for bg in backgrounds]
     flows = [sorted(c) for c in criticals]
@@ -245,15 +249,14 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
             round_pivots[lp].append(pivots)
         y, mu = sol.duals[:, :m], sol.duals[:, m:]
         # y <= 0 on the capacity rows, up to the solver's tolerance
-        weights = np.maximum(-demand[lp_of][:, :, None] * (y * inv_cap)[:, None, :], 0.0)
-        sources = src[lp_of].reshape(-1)
-        dist, tree = shortest_path_trees(topo, sources, weights.reshape(-1, m))
-        cheap = dist[np.arange(sources.size), dst[lp_of].reshape(-1)].reshape(-1, k) - mu
+        dist, tree = shortest_path_trees(topo, np.maximum(-y * inv_cap, 0.0))
+        s, d = src[lp_of], dst[lp_of]
+        cheap = demand[lp_of] * dist[np.arange(lp_of.size)[:, None], s, d] - mu
         new = []  # (stack position * K + flow position, path)
         for i, fi in zip(*np.nonzero(cheap < -REDUCED_COST_TOL)):
             g = i * k + fi
             lp = lp_of[i]
-            path = tree_path(topo, tree[g], src[lp, fi], dst[lp, fi])
+            path = tree_path(topo, tree[i, s[i, fi]], s[i, fi], d[i, fi])
             pool = pools[lp][fi]
             # a path already in the pool prices >= -tol in the LP just
             # solved, whatever this sum rounds to: never add it twice
@@ -263,7 +266,7 @@ def solve_rerouting_batch(topo, tms, criticals, backgrounds):
                 new.append((g, path))
         owner, fis = np.divmod(np.array([g for g, _ in new], dtype=int), k)
         added = np.bincount(owner, minlength=lp_of.size)
-        for i in (np.flatnonzero(added == 0) if new else range(lp_of.size)):
+        for i in np.flatnonzero(added == 0):
             done[lp_of[i]] = (sol.x[i, :width[i]], float(sol.objective[i]))
         if not new:
             break
@@ -510,13 +513,11 @@ def _delay_optimum(topo, tm, start, max_iters):
     load = _path_loads(links, hops, x, m)
     omega = float(np.sum(load / (cap - load)))
     cg_iters = backtracks = 0
-    # each pair's tree: the one from its source
-    sources, tree = np.unique(src, return_inverse=True)
     for steps in range(max_iters + 1):
         room = cap - load
         w = cap / room ** 2
-        dists, pred = shortest_path_trees(topo, sources, np.broadcast_to(w, (sources.size, m)))
-        dist = dists[tree, dst]
+        dist, pred = shortest_path_trees(topo, w[None])
+        dist, pred = dist[0, src, dst], pred[0]
         gap = float(w @ load - demand @ dist)  # Omega - Omega* <= gap
         if gap <= DELAY_GAP_TOL * omega:
             return _DelayRun(omega, LinkLoads.from_load(load, cap), steps, gap / omega,
@@ -532,7 +533,7 @@ def _delay_optimum(topo, tm, start, max_iters):
         if short.size:
             new = []
             for fi in short.tolist():
-                path = tree_path(topo, pred[tree[fi]], src[fi], dst[fi])
+                path = tree_path(topo, pred[src[fi]], src[fi], dst[fi])
                 if path not in pools[fi]:
                     pools[fi].append(path)
                     new.append((fi, path))

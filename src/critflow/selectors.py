@@ -56,19 +56,14 @@ def check_k(k, n_flows):
         raise SelectionError(f"k={k} exceeds flow count {n_flows}")
 
 
-def _ranked_by_demand(tm):
-    """All flows ordered by descending demand, flow-id ascending on ties."""
-    n = tm.n
-    flows = [(s, d) for s in range(n) for d in range(n) if s != d]
-    return sorted(flows, key=lambda f: (-tm.demand[f[0], f[1]],
-                                        flow_index(f[0], f[1], n)))
-
-
 def top_k(tm, k):
-    """The k largest flows by demand volume."""
-    check_k(k, tm.n * (tm.n - 1))
-    ranked = _ranked_by_demand(tm)
-    return SelectionResult(flows=tuple(ranked[:k]), method="top_k")
+    """The k largest flows by demand volume, flow id ascending on ties."""
+    n = tm.n
+    check_k(k, n * (n - 1))
+    off_diag = ~np.eye(n, dtype=bool)  # row-major: flow-id order
+    order = np.lexsort((np.arange(n * (n - 1)), -tm.demand[off_diag]))
+    flows = [flow_of_index(int(a), n) for a in order[:k]]
+    return SelectionResult(flows=tuple(flows), method="top_k")
 
 
 def top_k_critical(topo, tm, k, fractions=None):

@@ -5,14 +5,14 @@ carry a positive capacity (traffic units) and a positive routing cost.
 Flows are ordered (source, destination) pairs; `flow_index` maps them onto
 the contiguous id range 0..N*(N-1)-1 used by selectors and the policy net.
 
-One shortest-path kernel. `shortest_path_trees` grows K single-source
-trees at once, each under its own link weights, by a batched Bellman-Ford
-over the in-link table. Every topology grows its min-cost trees from every
-node once, at construction, and keeps their distances (`cost_dist`) and
-preds (`cost_pred`): the strong-connectivity check (every distance
-finite), ECMP and the rerouting LP's seed paths read them. The rerouting
-LP's pricing and the delay optimum's duality gap and new paths call the
-kernel under their own weights.
+One shortest-path kernel. `shortest_path_trees` grows, under each of G
+rows of link weights, the tree from every node, all at once, by a
+batched Bellman-Ford over the in-link table. Every topology grows its
+min-cost trees (one row: the link costs) once, at construction, and
+keeps their distances (`cost_dist`) and preds (`cost_pred`): the
+strong-connectivity check (every distance finite), ECMP and the
+rerouting LP's seed paths read them. The rerouting LP's pricing (a row
+per LP) and the delay optimum's steps (one row) call it too.
 
 Text format (UTF-8, line oriented, `#` starts a comment):
 
@@ -76,8 +76,8 @@ class Topology:
     # (N, max in-degree): row i holds in_links[i], padded by repeating its
     # first link
     in_link_table: np.ndarray = field(init=False, repr=False)
-    # (N, N), read-only: shortest_path_trees' dist and pred from every node
-    # under the link costs (row s: the min-cost tree from s)
+    # (N, N), read-only: shortest_path_trees' dist and pred under the one
+    # weight row of the link costs (row s: the min-cost tree from s)
     cost_dist: np.ndarray = field(init=False, repr=False)
     cost_pred: np.ndarray = field(init=False, repr=False)
 
@@ -101,9 +101,8 @@ class Topology:
             raise TopologyValidationError("not strongly connected")
         width = max(len(v) for v in inc)
         self.in_link_table = np.array([v + v[:1] * (width - len(v)) for v in inc])
-        n = self.node_count
-        self.cost_dist, self.cost_pred = shortest_path_trees(
-            self, np.arange(n), np.broadcast_to(self.cost, (n, self.link_count)))
+        dist, pred = shortest_path_trees(self, self.cost[None])
+        self.cost_dist, self.cost_pred = dist[0], pred[0]
         if not np.isfinite(self.cost_dist).all():
             raise TopologyValidationError("not strongly connected")
         self.cost_dist.flags.writeable = False
@@ -145,11 +144,12 @@ def _validate(n, links):
                 f"link ({lk.src},{lk.dst}) cost must be positive, got {lk.cost}")
 
 
-def shortest_path_trees(topo, sources, weights):
-    """(dist, pred), each (K, N): the shortest-path tree from sources[f]
-    under the link weights weights[f] (shape (K, M), all >= 0), for every
-    f at once. dist[f, v] is the least weight of a source-to-v path and
-    pred[f, v] the last link of one such path (-1 at the source).
+def shortest_path_trees(topo, weights):
+    """(dist, pred), each (G, N, N): the shortest-path tree from every
+    node under each row of the link weights `weights` (shape (G, M), all
+    >= 0). dist[i, s, v] is the least weight of an s-to-v path under
+    weights[i] and pred[i, s, v] the last link of one such path (-1 at
+    v = s), so pred[i, s] is the tree from s.
 
     A batched Bellman-Ford (Bellman 1958): every round, each node takes
     the best of its in-links, over `topo.in_link_table`, applied to the
@@ -160,32 +160,32 @@ def shortest_path_trees(topo, sources, weights):
     path's weight is its left-to-right sum, as in Dijkstra's algorithm,
     so the distances are the same floats.
     """
-    k, n = len(sources), topo.node_count
+    g, n = len(weights), topo.node_count
     table = topo.in_link_table.T  # row j: each node's j-th in-link
-    w_in = weights[:, table].transpose(1, 0, 2).copy()
-    # at[j, f, v]: the place in dist.reshape(-1) of the tail of v's j-th
-    # in-link in tree f
-    at = np.ascontiguousarray(topo.link_src[table][:, None, :]
-                              + n * np.arange(k)[:, None])
-    dist = np.full((k, n), np.inf)
-    dist[np.arange(k), sources] = 0.0
-    pred = np.full((k, n), -1)
+    # tree t = i * N + s grows from s under weights[i]: at[j, t, v] is the
+    # place in the flat dist of the tail of v's j-th in-link in tree t, and
+    # w_in[j, t, v] that link's weight
+    w_in = np.repeat(weights[:, table].transpose(1, 0, 2), n, axis=1)
+    at = topo.link_src[table][:, None, :] + n * np.arange(g * n)[:, None]
+    dist = np.full((g * n, n), np.inf)
+    dist[np.arange(g * n), np.arange(g * n) % n] = 0.0
+    pred = np.full((g * n, n), -1)
     for _ in range(n - 1):
-        via = dist.reshape(-1)[at] + w_in
+        via = np.take(dist, at) + w_in
         best = via.min(axis=0)
         better = best < dist
         if not better.any():
             break
-        f, v = np.nonzero(better)
-        dist[f, v] = best[f, v]
-        pred[f, v] = table[via[:, f, v].argmin(axis=0), v]
-    return dist, pred
+        t, v = np.nonzero(better)
+        dist[t, v] = best[t, v]
+        pred[t, v] = table[via[:, t, v].argmin(axis=0), v]
+    return dist.reshape(g, n, n), pred.reshape(g, n, n)
 
 
 def tree_path(topo, pred, s, d):
-    """The links of the s -> d path in one shortest-path tree (a row of
-    shortest_path_trees' pred from source s), in order. A pred row that
-    does not lead back to s within N - 1 links raises ValueError."""
+    """The links of the s -> d path in one shortest-path tree (the tree
+    from s, pred[i, s] of shortest_path_trees' pred), in order. A pred row
+    that does not lead back to s within N - 1 links raises ValueError."""
     path = []
     while d != s:
         if len(path) == topo.node_count - 1 or pred[d] < 0:

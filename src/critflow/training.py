@@ -236,6 +236,12 @@ def _abort(checkpoint_path, params, iteration, v, visits, reason):
     raise TrainingError(f"{reason} at iteration {iteration}")
 
 
+def check_checkpoint_every(every):
+    """ValueError unless `every` is at least 1."""
+    if every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, not {every}")
+
+
 def train(topo, dataset, config, init=None, checkpoint_path=None,
           checkpoint_every=500):
     """Serial training. Returns (params, TrainingLog).
@@ -247,8 +253,7 @@ def train(topo, dataset, config, init=None, checkpoint_path=None,
     and never writes to `init`. A checkpoint_every below 1 raises
     ValueError before the first iteration.
     """
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
+    check_checkpoint_every(checkpoint_every)
     matrices = dataset.matrices
     train_ids = _usable_train_ids(dataset)
     fractions = compute_ecmp_fractions(topo)

@@ -82,7 +82,7 @@ def test_train_checkpoint_every_below_one_is_runtime_error(tmp_path, ring5_file,
               "--iterations", "2", "--checkpoint-every", "0", "--out", str(out)])
     assert rc == 2
     assert "checkpoint_every must be at least 1, not 0" in capsys.readouterr().err
-    assert not (out / "checkpoint.npz").exists()
+    assert not out.exists()
 
 
 def test_eval_ecmp_only_needs_no_checkpoint(tmp_path, ring5_file):
@@ -123,6 +123,7 @@ def test_eval_policy_without_checkpoint_is_usage_error(tmp_path, ring5_file):
               "--tm-count", "4", "--methods", "policy", "--skip-delay",
               "--out", str(tmp_path / "x")])
     assert rc == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_policy_with_checkpoint(tmp_path, ring5_file):
@@ -197,6 +198,22 @@ def test_bad_list_flag_is_usage_error(tmp_path, ring5_file, capsys, command, fla
                                       message):
     out = tmp_path / "o"
     assert run([command, "--topology", ring5_file, "--out", str(out)] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--k", "2", "--batch-size", "0"], "batch_size must be positive"),
+    ("sweep-hyper", ["--k", "2", "--iterations", "0"], "total_iterations must be positive"),
+    # the second cell's width: no cell trains before every cell is checked
+    ("sweep-hyper", ["--k", "2", "--iterations", "2", "--widths", "8,0"],
+     "width must be positive"),
+    ("generate-tm", ["--tm-count", "0"], "count must be >= 1"),
+])
+def test_rejected_setting_writes_nothing(tmp_path, ring5_file, capsys, command, flags,
+                                         message):
+    out = tmp_path / "o"
+    assert run([command, "--topology", ring5_file, "--out", str(out)] + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

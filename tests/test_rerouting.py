@@ -424,9 +424,8 @@ def test_no_phase_one_in_any_round(monkeypatch):
 def test_crash_basis_starts_the_seed_path_lp():
     topo, tm, flows, bg = _abilene_case(13)
     flows = sorted(flows)
-    n, m = topo.node_count, topo.link_count
-    _, pred = shortest_path_trees(topo, np.arange(n), np.broadcast_to(topo.cost, (n, m)))
-    columns = [(f, tree_path(topo, pred[f[0]], *f)) for f in flows]
+    m = topo.link_count
+    columns = [(f, tree_path(topo, topo.cost_pred[f[0]], *f)) for f in flows]
     problem = build_path_lp(topo, tm, bg.load, columns)
     demand = np.array([tm.demand[f] for f in flows])
     basis, binv = rerouting._crash_start(topo, demand[None],
@@ -474,50 +473,75 @@ def test_flow_listed_twice_or_to_itself_rejected(ring5):
 
 
 def _kernel_cases():
-    """(topology, sources, link weights per source, the (row, destination)
-    pairs to check). Per flow, each flow under its own weights: uniform
-    weights, pricing weights max(-y d / c, 0) (mostly zero weights) and
-    max(1e-6 - y d / c, 0), and small integer weights (exact
-    ties). From every node under one weight vector, as validation, ECMP
-    and the delay optimum's gap call it: the link costs and uniform
-    weights, also on a 49-node stand-in."""
+    """(topology, link weight rows). Rows as column generation prices one
+    stack of LPs, a row per LP: uniform weights, pricing weights
+    max(-y d / c, 0) (mostly zero weights) and max(1e-6 - y d / c, 0)
+    over one y and three demands d, and small integer weights (exact
+    ties). One row, as validation, ECMP and the delay optimum call it:
+    the link costs and uniform weights, also on a 49-node stand-in."""
     rng = np.random.default_rng(23)
     topos = [cf.random_topology(n, int(rng.integers(0, n)), seed=int(rng.integers(100)))
              for n in (4, 5, 6, 7, 8, 8)]
     topos += [cf.load_topology(ABILENE), _ebone_sized()]
     for topo in topos:
-        k, m = topo.flow_count, topo.link_count
-        sources = np.array([s for s, _ in topo.flows()])
-        checks = [(fi, d) for fi, (_, d) in enumerate(topo.flows())]
-        demand = rng.uniform(0.1, 1.0, k)
+        m = topo.link_count
+        demand = rng.uniform(0.1, 1.0, 3)
         y = np.where(rng.uniform(size=m) < 0.2, -rng.uniform(0.0, 1.0, m), 0.0)
-        yield topo, sources, rng.uniform(0.0, 1.0, (k, m)), checks
+        yield topo, rng.uniform(0.0, 1.0, (3, m))
         for shift in (1e-6, 0.0):
-            yield (topo, sources, np.maximum(shift - np.outer(demand, y / topo.capacity), 0.0),
-                   checks)
-        yield topo, sources, rng.integers(0, 3, (k, m)).astype(float), checks
+            yield topo, np.maximum(shift - np.outer(demand, y / topo.capacity), 0.0)
+        yield topo, rng.integers(0, 3, (3, m)).astype(float)
     tiscali_sized = cf.infer_capacities_from_costs(cf.random_topology(49, 37, seed=3), 1000.0)
     for topo in topos + [tiscali_sized]:
-        n, m = topo.node_count, topo.link_count
-        for w in (topo.cost, rng.uniform(0.0, 1.0, m)):
-            yield topo, np.arange(n), np.broadcast_to(w, (n, m)), topo.flows()
+        for w in (topo.cost, rng.uniform(0.0, 1.0, topo.link_count)):
+            yield topo, w[None]
 
 
 def test_batched_pricing_kernel_matches_dijkstra():
-    for topo, sources, weights, checks in _kernel_cases():
-        dist, pred = shortest_path_trees(topo, sources, weights)
-        for fi, d in checks:
-            s = sources[fi]
-            _, want = dijkstra_path(topo, s, d, weights[fi])
-            assert dist[fi, d] == pytest.approx(want, rel=1e-15, abs=0.0)
-            path = tree_path(topo, pred[fi], s, d)
-            nodes = [s] + [topo.links[e].dst for e in path]
-            assert nodes[-1] == d and len(set(nodes)) == len(nodes)
-            assert all(topo.links[e].src == u for e, u in zip(path, nodes))
-            weight = 0.0
-            for e in path:
-                weight += weights[fi, e]
-            assert weight == pytest.approx(want, rel=1e-15, abs=0.0)
+    """Every (row, source, destination): the distance, and the tree path
+    and its left-to-right weight, against one heap Dijkstra."""
+    for topo, weights in _kernel_cases():
+        n = topo.node_count
+        dist, pred = shortest_path_trees(topo, weights)
+        assert dist.shape == pred.shape == (len(weights), n, n)
+        for i, row in enumerate(weights):
+            assert np.all(dist[i].diagonal() == 0.0) and np.all(pred[i].diagonal() == -1)
+            for s, d in topo.flows():
+                _, want = dijkstra_path(topo, s, d, row)
+                assert dist[i, s, d] == pytest.approx(want, rel=1e-15, abs=0.0)
+                path = tree_path(topo, pred[i, s], s, d)
+                nodes = [s] + [topo.links[e].dst for e in path]
+                assert nodes[-1] == d and len(set(nodes)) == len(nodes)
+                assert all(topo.links[e].src == u for e, u in zip(path, nodes))
+                weight = 0.0
+                for e in path:
+                    weight += row[e]
+                assert weight == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_column_generation_makes_one_kernel_call_per_round(monkeypatch):
+    """Each round prices its whole stack by one shortest_path_trees call,
+    one weight row per LP still pricing: the round's solve_lp stack."""
+    solved = _record_solves(monkeypatch)
+    calls = []
+    trees = rerouting.shortest_path_trees
+
+    def counted(topo, weights):
+        calls.append(weights.shape)
+        return trees(topo, weights)
+
+    monkeypatch.setattr(rerouting, "shortest_path_trees", counted)
+    groups, rounds = _reward_groups(), 0
+    for topo, cases in groups:
+        solved.clear()
+        calls.clear()
+        sols = _solve_batch(topo, cases)
+        assert calls == [(len(problem.c), topo.link_count) for problem, _ in solved]
+        # the LPs still pricing in round r: those with a round r
+        assert [rows for rows, _ in calls] == [
+            sum(len(sol.round_pivots) > r for sol in sols) for r in range(len(calls))]
+        rounds += len(calls)
+    assert rounds > len(groups)  # column generation ran past its first round
 
 
 def _record_solves(monkeypatch):

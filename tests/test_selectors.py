@@ -21,6 +21,20 @@ def test_top_k_tie_break_by_flow_id():
     assert sel.flows == ((0, 1), (0, 2))
 
 
+def test_top_k_matches_a_sort_by_demand_then_flow_id_on_ties():
+    """top_k's one lexsort against a Python sort by (-demand, flow id),
+    on matrices of small integer demands, full of ties."""
+    rng = np.random.default_rng(31)
+    for n in (3, 5, 8, 12):
+        flows = [(s, d) for s in range(n) for d in range(n) if s != d]
+        for _ in range(10):
+            demand = rng.integers(0, 3, (n, n)).astype(float)
+            np.fill_diagonal(demand, 0.0)
+            ranked = sorted(flows, key=lambda f: (-demand[f], cf.flow_index(*f, n)))
+            for k in (0, 1, n, len(flows)):
+                assert cf.top_k(cf.TrafficMatrix(n, demand), k).flows == tuple(ranked[:k])
+
+
 def test_top_k_all_flows():
     tm = tm_with(3, {(0, 1): 1.0})
     sel = cf.top_k(tm, 6)
